@@ -188,7 +188,7 @@ BENCHMARK(BM_SuiteSweep)
 
 /**
  * The same grid with the telemetry registry armed (clock reads, pool
- * observer, per-run histograms live — everything cpe_serve turns on).
+ * observer, and per-run histograms live).
  * The kips delta against BM_SuiteSweep at the same job count is the
  * total instrumentation overhead; it should be noise, since a run is
  * milliseconds of simulation against nanoseconds of atomics.

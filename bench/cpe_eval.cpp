@@ -1,28 +1,15 @@
 /**
  * @file
  * cpe_eval — the one evaluation driver.  Lists, runs, and
- * regression-checks every registered experiment (T1–T3, F1–F12); see
+ * regression-checks every registered experiment (T1–T3, F1–F13); see
  * --help for the flag reference.  The microbenchmark timing harness
  * (bench_sim_speed) remains a separate google-benchmark binary.
  */
 
-#include <cstring>
-#include <iostream>
-
 #include "exp/driver.hh"
-#include "serve/result_store.hh"
 
 int
 main(int argc, char **argv)
 {
-    // --version is answered here, not in the exp driver: the version
-    // summary folds in the result-store schema, and exp cannot link
-    // against serve (serve sits above exp in the layering).
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--version") == 0) {
-            std::cout << "cpe_eval: " << cpe::serve::versionSummary()
-                      << "\n";
-            return 0;
-        }
     return cpe::exp::evalMain(argc, argv);
 }

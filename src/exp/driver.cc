@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -12,8 +12,7 @@
 #include <sstream>
 
 #include "exp/registry.hh"
-#include "obs/metrics.hh"
-#include "sim/run_journal.hh"
+#include "sim/result_store.hh"
 #include "sim/sweep_runner.hh"
 #include "sim/trace_cache.hh"
 #include "util/error.hh"
@@ -119,10 +118,10 @@ constexpr const char *kUsage =
     "  --retry-backoff-ms N     base delay before a retry, doubled per\n"
     "                           attempt with deterministic jitter\n"
     "                           (default: 0 = retry immediately)\n"
-    "  --resume JOURNAL         crash-safe sweep resume: append one\n"
-    "                           fsync'd record per completed run to\n"
-    "                           JOURNAL and, on restart, skip runs\n"
-    "                           already recorded there\n"
+    "  --store DIR              keep every run's result in DIR as well\n"
+    "                           as in memory: a rerun (or a resumed,\n"
+    "                           interrupted sweep) simulates only the\n"
+    "                           machines DIR does not hold yet\n"
     "  --version                print simulator, CPET trace, and\n"
     "                           result-store schema versions and exit\n"
     "(every --flag VALUE is also accepted as --flag=VALUE)\n"
@@ -130,11 +129,36 @@ constexpr const char *kUsage =
     "errors; 2 configuration/usage errors (including --validate FAIL);\n"
     "3 baseline drift (--check FAIL)\n";
 
+/** A command-line mistake: evalMain prints it with kUsage, exit 2. */
+class UsageError : public ConfigError
+{
+  public:
+    using ConfigError::ConfigError;
+};
+
 [[noreturn]] void
 usageError(const std::string &message)
 {
-    std::cerr << "cpe_eval: " << message << "\n" << kUsage;
-    std::exit(2);
+    throw UsageError(message);
+}
+
+/**
+ * Parse @p text as the whole value of @p flag: a non-negative decimal
+ * number of type T.  Junk, a sign, trailing characters, or a value out
+ * of T's range is a usage error — never a silent 0.
+ */
+template <typename T>
+T
+parseNumber(const std::string &flag, const std::string &text)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    auto [stop, ec] = std::from_chars(text.data(), end, value);
+    if (text.empty() || ec != std::errc() || stop != end ||
+        !(value >= T{}))
+        usageError("flag '" + flag + "' wants a non-negative number, got '" +
+                   text + "'");
+    return value;
 }
 
 std::vector<std::string>
@@ -172,7 +196,7 @@ struct Options
     std::string chaosSpec;      ///< --chaos: "" = disarmed
     unsigned retries = 1;       ///< --retries: transient retry count
     unsigned retryBackoffMs = 0; ///< --retry-backoff-ms: 0 = immediate
-    std::string resumePath;     ///< --resume: "" = no journal
+    std::string storeDir;       ///< --store: "" = memory only
     /** --trace-cache-mb: resident bound for the shared cache. */
     std::size_t traceCacheMb = sim::SimConfig::TraceCacheDefaultResidentMb;
     /** --sample-*: sampled simulation for every run (mode off = off). */
@@ -259,22 +283,19 @@ parseArgs(int argc, char **argv)
         } else if (flag == "--trace") {
             options.tracePath = value();
         } else if (flag == "--sample-cycles") {
-            options.sampleCycles = static_cast<Cycle>(
-                std::strtoull(value().c_str(), nullptr, 10));
+            options.sampleCycles = parseNumber<Cycle>(flag, value());
         } else if (flag == "--profile") {
             // Bare --profile must not eat the next argument: only the
             // inline =N spelling carries a value.
             options.profileTop =
-                has_inline ? static_cast<unsigned>(std::strtoul(
-                                 inline_value.c_str(), nullptr, 10))
+                has_inline ? parseNumber<unsigned>(flag, inline_value)
                            : 10;
             if (!options.profileTop)
                 usageError("--profile wants a positive top-N count");
         } else if (flag == "--trace-cache") {
             options.traceCacheDir = value();
         } else if (flag == "--trace-cache-mb") {
-            options.traceCacheMb = static_cast<std::size_t>(
-                std::strtoull(value().c_str(), nullptr, 10));
+            options.traceCacheMb = parseNumber<std::size_t>(flag, value());
             if (!options.traceCacheMb)
                 usageError("--trace-cache-mb wants a positive size");
         } else if (flag == "--sample-mode") {
@@ -288,41 +309,36 @@ parseArgs(int argc, char **argv)
             }
         } else if (flag == "--sample-insts") {
             options.sample.measureInsts =
-                std::strtoull(value().c_str(), nullptr, 10);
+                parseNumber<std::uint64_t>(flag, value());
         } else if (flag == "--sample-warmup") {
             options.sample.warmupInsts =
-                std::strtoull(value().c_str(), nullptr, 10);
+                parseNumber<std::uint64_t>(flag, value());
         } else if (flag == "--sample-period") {
             options.sample.periodInsts =
-                std::strtoull(value().c_str(), nullptr, 10);
+                parseNumber<std::uint64_t>(flag, value());
         } else if (flag == "--sample-intervals") {
             options.sample.intervals =
-                std::strtoull(value().c_str(), nullptr, 10);
+                parseNumber<std::uint64_t>(flag, value());
         } else if (flag == "--sample-confidence") {
-            options.sample.confidence =
-                std::strtod(value().c_str(), nullptr);
+            options.sample.confidence = parseNumber<double>(flag, value());
         } else if (flag == "--no-replay") {
             options.noReplay = true;
         } else if (flag == "--chaos") {
             options.chaosSpec = value();
         } else if (flag == "--retries") {
-            options.retries = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            options.retries = parseNumber<unsigned>(flag, value());
         } else if (flag == "--retry-backoff-ms") {
-            options.retryBackoffMs = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
-        } else if (flag == "--resume") {
-            std::string path = value();
-            if (path.empty())
-                usageError("--resume wants a journal path");
-            options.resumePath = path;
+            options.retryBackoffMs = parseNumber<unsigned>(flag, value());
+        } else if (flag == "--store") {
+            options.storeDir = value();
+            if (options.storeDir.empty())
+                usageError("--store wants a directory");
         } else if (flag == "--workloads") {
             options.workloads =
                 splitList(value());
         } else if (flag == "--jobs") {
-            sim::SweepRunner::setDefaultJobs(static_cast<unsigned>(
-                std::strtoul(value().c_str(),
-                             nullptr, 10)));
+            sim::SweepRunner::setDefaultJobs(
+                parseNumber<unsigned>(flag, value()));
         } else if (flag == "--format") {
             std::string format = value();
             if (format == "table")
@@ -339,9 +355,7 @@ parseArgs(int argc, char **argv)
         } else if (flag == "--baseline") {
             options.baselineDir = value();
         } else if (flag == "--tolerance") {
-            options.tolerancePct =
-                std::strtod(value().c_str(),
-                            nullptr);
+            options.tolerancePct = parseNumber<double>(flag, value());
         } else {
             usageError("unknown flag '" + flag + "'");
         }
@@ -748,16 +762,79 @@ checkExperiment(const std::string &id, const Json &baseline,
     return failures;
 }
 
+namespace {
+
+/** Clears, on every exit path, the process-wide hooks evalMain points
+ *  at its own locals: the trace sink, trace cache, and result store. */
+struct HookReset
+{
+    HookReset() = default;
+    ~HookReset()
+    {
+        setObservability(nullptr, 0, 0);
+        setTraceCache(nullptr);
+        sim::ResultStore::setActive(nullptr);
+    }
+    HookReset(const HookReset &) = delete;
+    HookReset &operator=(const HookReset &) = delete;
+};
+
+/** One stderr line of memo accounting (stdout belongs to --format). */
+void
+printStoreSummary(const sim::ResultStore &store)
+{
+    sim::ResultStore::Stats stats = store.stats();
+    if (!stats.fetches)
+        return;
+    std::cerr << "store: " << stats.fetches << " run(s), "
+              << stats.computes << " simulated, "
+              << stats.fetches - stats.computes << " reused";
+    if (!store.dir().empty())
+        std::cerr << " (" << stats.diskHits << " loaded from "
+                  << store.dir() << ")";
+    if (stats.insertFailures)
+        std::cerr << ", " << stats.insertFailures << " not stored";
+    std::cerr << "\n";
+}
+
+int
+runMode(const Options &options)
+{
+    switch (options.mode) {
+      case Mode::List:
+        return listExperiments();
+      case Mode::Run:
+        return runExperiments(options);
+      case Mode::Check:
+        return checkBaselines(options);
+      case Mode::WriteBaseline:
+        return writeBaselines(options);
+      case Mode::Validate:
+        return validateExperiments(options);
+      case Mode::None:
+        break;
+    }
+    usageError("no mode given");
+}
+
+} // namespace
+
 int
 evalMain(int argc, char **argv)
 {
-    Options options = parseArgs(argc, argv);
-    if (options.noReplay && !options.traceCacheDir.empty())
-        usageError("--no-replay and --trace-cache are contradictory");
+    for (int i = 1; i < argc; ++i)
+        if (std::strcmp(argv[i], "--version") == 0) {
+            std::cout << "cpe_eval: " << sim::versionSummary() << "\n";
+            return ExitOk;
+        }
     // The CLI boundary: everything below throws SimError for
     // recoverable failures; only here do they become an exit code
-    // (ConfigError -> 2, everything else -> 1; see kUsage).
+    // (usage and ConfigError -> 2, everything else -> 1; see kUsage).
     try {
+        HookReset reset;
+        Options options = parseArgs(argc, argv);
+        if (options.noReplay && !options.traceCacheDir.empty())
+            usageError("--no-replay and --trace-cache are contradictory");
         setFaultInjection(options.faultPlan);
         // Chaos arms (or explicitly disarms — evalMain may be called
         // repeatedly in-process by the tests) before any run starts.
@@ -794,72 +871,25 @@ evalMain(int argc, char **argv)
                 options.traceCacheMb * 1024 * 1024);
         setTraceCache(trace_cache.get());
         setSampling(options.sample);
-        // Crash-safe resume: load the journal (skipping any torn
-        // trailing line a killed process left) and let the sweep
-        // runner serve completed runs from it.
-        std::unique_ptr<sim::RunJournal> journal;
-        std::size_t journaled_before = 0;
-        std::uint64_t append_failures_before = 0;
-        if (!options.resumePath.empty()) {
-            journal =
-                std::make_unique<sim::RunJournal>(options.resumePath);
-            journaled_before = journal->entries();
-            append_failures_before =
-                obs::MetricsRegistry::instance()
-                    .counter("sweep.journal_append_failures")
-                    ->value();
-        }
-        sim::RunJournal::setActive(journal.get());
-
-        int rc = ExitRunFailure;
-        switch (options.mode) {
-          case Mode::List:
-            rc = listExperiments();
-            break;
-          case Mode::Run:
-            rc = runExperiments(options);
-            break;
-          case Mode::Check:
-            rc = checkBaselines(options);
-            break;
-          case Mode::WriteBaseline:
-            rc = writeBaselines(options);
-            break;
-          case Mode::Validate:
-            rc = validateExperiments(options);
-            break;
-          case Mode::None:
-            sim::RunJournal::setActive(nullptr);
-            usageError("no mode given");
-        }
-        sim::RunJournal::setActive(nullptr);
-        if (journal) {
-            // To stderr: --format json/csv callers parse stdout.
-            const std::uint64_t append_failures =
-                obs::MetricsRegistry::instance()
-                    .counter("sweep.journal_append_failures")
-                    ->value() -
-                append_failures_before;
-            std::cerr << "resume: " << journaled_before
-                      << " run(s) served from " << journal->path()
-                      << ", "
-                      << (journal->entries() - journaled_before)
-                      << " appended";
-            if (append_failures > 0)
-                std::cerr << ", " << append_failures
-                          << " append failure(s)";
-            std::cerr << "\n";
-        }
+        // One result memo for the invocation: a machine that several
+        // experiments (or grids) run is simulated once.  With --store
+        // the memo also lives in DIR, so a rerun — or a sweep resumed
+        // after a crash — simulates only what DIR does not hold yet.
+        sim::ResultStore store(options.storeDir);
+        sim::ResultStore::setActive(&store);
+        int rc = runMode(options);
+        printStoreSummary(store);
         return rc;
+    } catch (const UsageError &error) {
+        std::cerr << "cpe_eval: " << error.what() << "\n" << kUsage;
+        return ExitConfigError;
     } catch (const ConfigError &error) {
         std::cerr << "cpe_eval: " << error.kind()
                   << " error: " << error.what() << "\n";
-        sim::RunJournal::setActive(nullptr);
         return ExitConfigError;
     } catch (const SimError &error) {
         std::cerr << "cpe_eval: " << error.kind() << " error: "
                   << error.what() << "\n";
-        sim::RunJournal::setActive(nullptr);
         return ExitRunFailure;
     }
 }

@@ -148,19 +148,11 @@ std::vector<sim::SimConfig>
 suiteConfigs(const std::vector<Variant> &variants,
              const std::vector<std::string> &workloads)
 {
-    return suiteConfigs(variants, workloads, sim::SimConfig::defaults());
-}
-
-std::vector<sim::SimConfig>
-suiteConfigs(const std::vector<Variant> &variants,
-             const std::vector<std::string> &workloads,
-             const sim::SimConfig &base)
-{
     std::vector<sim::SimConfig> configs;
     configs.reserve(workloads.size() * variants.size());
     for (const auto &name : workloads) {
         for (const auto &variant : variants) {
-            sim::SimConfig config = base;
+            sim::SimConfig config = sim::SimConfig::defaults();
             config.workloadName = name;
             config.workload.osLevel = variant.osLevel;
             config.core.dcache.tech = variant.tech;

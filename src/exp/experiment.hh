@@ -49,16 +49,6 @@ suiteConfigs(const std::vector<Variant> &variants,
              const std::vector<std::string> &workloads);
 
 /**
- * Same expansion, but each config starts from @p base instead of
- * SimConfig::defaults() — how cpe_serve applies a client-supplied
- * machine file underneath an experiment's variant grid.
- */
-std::vector<sim::SimConfig>
-suiteConfigs(const std::vector<Variant> &variants,
-             const std::vector<std::string> &workloads,
-             const sim::SimConfig &base);
-
-/**
  * Fault-injection hook for exercising the fault-isolation machinery
  * end to end (cpe_eval --fault-inject, the keep-going smoke test).
  * Each plan entry is (workload, kind): configs for that workload are

@@ -1,41 +1,11 @@
 #include "obs/metrics.hh"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <bit>
-#include <cerrno>
-#include <cstring>
 
-#include "util/error.hh"
 #include "util/logging.hh"
 
 namespace cpe::obs {
-
-namespace {
-
-/** Render a metric value the way Json does, so snapshot JSON and the
- *  Prometheus text agree byte-for-byte on number formatting. */
-std::string
-formatNumber(double value)
-{
-    return Json(value).dump();
-}
-
-/** "store.fetch_latency_us" -> "cpe_store_fetch_latency_us". */
-std::string
-prometheusName(const std::string &name)
-{
-    std::string out = "cpe_";
-    for (char c : name)
-        out.push_back(std::isalnum(static_cast<unsigned char>(c))
-                          ? c
-                          : '_');
-    return out;
-}
-
-} // namespace
 
 // ---------------------------------------------------------------------------
 // Histogram
@@ -223,48 +193,6 @@ MetricsRegistry::snapshotJson() const
     return doc;
 }
 
-std::string
-MetricsRegistry::prometheusText() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::string text;
-    auto header = [&](const std::string &name, const std::string &help,
-                      const char *type) {
-        const std::string mangled = prometheusName(name);
-        if (!help.empty())
-            text += "# HELP " + mangled + " " + help + "\n";
-        text += "# TYPE " + mangled + " " + std::string(type) + "\n";
-        return mangled;
-    };
-
-    for (const auto &[name, counter] : counters_)
-        text += header(name, counter->help(), "counter") + " " +
-                std::to_string(counter->value()) + "\n";
-    for (const auto &[name, gauge] : gauges_)
-        text += header(name, gauge->help(), "gauge") + " " +
-                std::to_string(gauge->value()) + "\n";
-    for (const auto &[name, histogram] : histograms_) {
-        const std::string mangled =
-            header(name, histogram->help(), "histogram");
-        const auto &bounds = histogram->bounds();
-        std::uint64_t cumulative = 0;
-        for (std::size_t i = 0; i < bounds.size(); ++i) {
-            cumulative += histogram->bucketCount(i);
-            text += mangled + "_bucket{le=\"" +
-                    formatNumber(bounds[i]) + "\"} " +
-                    std::to_string(cumulative) + "\n";
-        }
-        cumulative += histogram->bucketCount(bounds.size());
-        text += mangled + "_bucket{le=\"+Inf\"} " +
-                std::to_string(cumulative) + "\n";
-        text += mangled + "_sum " + formatNumber(histogram->sum()) +
-                "\n";
-        text += mangled + "_count " +
-                std::to_string(histogram->count()) + "\n";
-    }
-    return text;
-}
-
 void
 MetricsRegistry::zeroAll()
 {
@@ -275,21 +203,6 @@ MetricsRegistry::zeroAll()
         gauge->zero();
     for (const auto &[name, histogram] : histograms_)
         histogram->zero();
-}
-
-void
-MetricsRegistry::zeroPrefix(const std::string &prefix)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &[name, counter] : counters_)
-        if (name.rfind(prefix, 0) == 0)
-            counter->zero();
-    for (const auto &[name, gauge] : gauges_)
-        if (name.rfind(prefix, 0) == 0)
-            gauge->zero();
-    for (const auto &[name, histogram] : histograms_)
-        if (name.rfind(prefix, 0) == 0)
-            histogram->zero();
 }
 
 std::vector<double>
@@ -309,165 +222,6 @@ MetricsRegistry::wallMsBuckets()
     return {1.0,    2.0,    5.0,    10.0,    25.0,
             50.0,   100.0,  250.0,  500.0,   1000.0,
             2500.0, 5000.0, 10000.0, 30000.0, 60000.0};
-}
-
-// ---------------------------------------------------------------------------
-// ServiceLog
-
-std::atomic<bool> ServiceLog::armed_{false};
-
-ServiceLog &
-ServiceLog::instance()
-{
-    static ServiceLog log;
-    return log;
-}
-
-void
-ServiceLog::open(const std::string &path, LogLevel min_level)
-{
-    int fd = ::open(path.c_str(),
-                    O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
-    if (fd < 0)
-        throw IoError("cannot open service log '" + path +
-                      "': " + std::strerror(errno));
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (fd_ >= 0)
-        ::close(fd_);
-    fd_ = fd;
-    path_ = path;
-    minLevel_.store(min_level, std::memory_order_relaxed);
-    lines_ = 0;
-    armed_.store(true, std::memory_order_relaxed);
-}
-
-void
-ServiceLog::close()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    armed_.store(false, std::memory_order_relaxed);
-    if (fd_ >= 0)
-        ::close(fd_);
-    fd_ = -1;
-    path_.clear();
-}
-
-void
-ServiceLog::write(LogLevel level, const std::string &event,
-                  const std::string &rid, const Fields &fields)
-{
-    if (!enabled(level))
-        return;
-    Json record = Json::object();
-    record["ts_us"] = Json(static_cast<double>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count()));
-    record["lvl"] = logLevelName(level);
-    record["ev"] = event;
-    if (!rid.empty())
-        record["rid"] = rid;
-    if (fields)
-        fields(record);
-    std::string line = record.dump();
-    line.push_back('\n');
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (fd_ < 0)
-        return;
-    // Whole-line single write (plus the mutex) keeps records from
-    // connection threads and pool workers from interleaving.  A failed
-    // write costs that one record — the service never fails over its
-    // own telemetry.
-    const char *data = line.data();
-    std::size_t left = line.size();
-    while (left > 0) {
-        ssize_t wrote = ::write(fd_, data, left);
-        if (wrote < 0) {
-            if (errno == EINTR)
-                continue;
-            return;
-        }
-        data += wrote;
-        left -= static_cast<std::size_t>(wrote);
-    }
-    ++lines_;
-}
-
-std::uint64_t
-ServiceLog::lines() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return lines_;
-}
-
-LogLevel
-parseLogLevel(const std::string &text)
-{
-    if (text == "debug")
-        return LogLevel::Debug;
-    if (text == "info")
-        return LogLevel::Info;
-    if (text == "warn")
-        return LogLevel::Warn;
-    if (text == "error")
-        return LogLevel::Error;
-    throw ConfigError("unknown log level '" + text +
-                      "' (want debug, info, warn, or error)");
-}
-
-const char *
-logLevelName(LogLevel level)
-{
-    switch (level) {
-    case LogLevel::Debug:
-        return "debug";
-    case LogLevel::Info:
-        return "info";
-    case LogLevel::Warn:
-        return "warn";
-    case LogLevel::Error:
-        return "error";
-    }
-    return "info";
-}
-
-// ---------------------------------------------------------------------------
-// LogSpan
-
-LogSpan::LogSpan(std::string name, std::string rid,
-                 const ServiceLog::Fields &fields)
-    : active_(ServiceLog::instance().enabled(LogLevel::Info)),
-      name_(std::move(name)), rid_(std::move(rid))
-{
-    if (!active_)
-        return;
-    start_ = std::chrono::steady_clock::now();
-    ServiceLog::instance().write(LogLevel::Info, name_ + ".begin",
-                                 rid_, fields);
-}
-
-LogSpan::~LogSpan()
-{
-    if (!active_)
-        return;
-    const double dur_us =
-        std::chrono::duration<double, std::micro>(
-            std::chrono::steady_clock::now() - start_)
-            .count();
-    ServiceLog::instance().write(
-        LogLevel::Info, name_ + ".end", rid_, [&](Json &record) {
-            record["dur_us"] = Json(dur_us);
-            for (const auto &[key, value] : notes_)
-                record[key] = value;
-        });
-}
-
-void
-LogSpan::note(const std::string &key, Json value)
-{
-    if (active_)
-        notes_.emplace_back(key, std::move(value));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 /**
  * @file
- * Service telemetry: the process-wide metrics registry and the
- * request-correlated structured service log behind cpe_serve
- * (docs/observability.md, "Service telemetry").
+ * The process-wide metrics registry (docs/observability.md, "Metrics
+ * registry").
  *
  * MetricsRegistry holds named counters, gauges, and fixed-bucket
  * latency histograms.  Metric objects are registered once (by name,
@@ -11,24 +10,14 @@
  * unconditionally.  What IS gated behind the registry's armed flag
  * (the FaultInjector::armed idiom: one relaxed load + branch while
  * disarmed) is everything that costs more than an atomic add: reading
- * clocks for latency histograms, the thread-pool observer, service
- * logging, and periodic exposition.  With the registry disarmed —
- * the default, and the only state cpe_eval's deterministic runs ever
- * see — instrumented code paths are byte-identical in behavior to
- * uninstrumented ones (tests/test_metrics.cc proves this against the
- * served-grid differential).
+ * clocks for latency histograms and the thread-pool observer.  With
+ * the registry disarmed — the default, and the only state cpe_eval's
+ * deterministic runs ever see — instrumented code paths are
+ * byte-identical in behavior to uninstrumented ones.
  *
- * ServiceLog is a leveled JSONL logger where every record can carry a
- * request id ("rid"), and LogSpan emits paired begin/end records with
- * a measured duration — so one rid stitches a request's lifecycle
- * (request -> run -> store-fetch) across the server's connection
- * threads and pool workers.
- *
- * Snapshots: snapshotJson() renders every metric sorted by name (a
- * schema change shows up as a golden-file diff), prometheusText()
- * renders the standard text exposition format for scraping, and
- * zeroAll()/zeroPrefix() reset values (never registrations) so tests
- * and sequential in-process servers get exact per-session counts.
+ * Snapshots: snapshotJson() renders every metric sorted by name, and
+ * zeroAll() resets values (never registrations) so tests get exact
+ * counts.
  */
 
 #ifndef CPE_OBS_METRICS_HH
@@ -37,7 +26,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -57,13 +45,6 @@ class Counter
     void inc(std::uint64_t n = 1)
     {
         value_.fetch_add(n, std::memory_order_relaxed);
-    }
-
-    /** Mirror an externally tracked total (per-instance Stats structs
-     *  that remain the source of truth sync through this). */
-    void set(std::uint64_t value)
-    {
-        value_.store(value, std::memory_order_relaxed);
     }
 
     std::uint64_t value() const
@@ -221,20 +202,12 @@ class MetricsRegistry
      * Every metric, sorted by name, as
      * {"counters":{..},"gauges":{..},"histograms":{name:
      *  {"count","sum","p50","p90","p99","buckets":[{"le","n"},..]}}}.
-     * The schema is pinned by tests/golden/serve_protocol.jsonl.
+     * The schema is pinned by tests/test_metrics.cc.
      */
     Json snapshotJson() const;
 
-    /** Prometheus text exposition (names mangled to cpe_<snake>,
-     *  histogram buckets cumulative with the +Inf bucket). */
-    std::string prometheusText() const;
-
     /** Reset every value; registrations and pointers survive. */
     void zeroAll();
-
-    /** Reset values of metrics whose name starts with @p prefix —
-     *  how a starting Server scopes global counters to its session. */
-    void zeroPrefix(const std::string &prefix);
 
     /** Bucket upper bounds shared by the latency histograms (µs). */
     static std::vector<double> latencyBucketsUs();
@@ -253,7 +226,7 @@ class MetricsRegistry
 
 /**
  * Time a scope into @p histogram — but only while the registry is
- * armed, so disarmed service paths never read a clock.  Constructed
+ * armed, so disarmed paths never read a clock.  Constructed
  * unconditionally at call sites; the armed check is the constructor.
  */
 class ScopedTimerUs
@@ -288,94 +261,6 @@ class ScopedTimerUs
   private:
     Histogram *histogram_;
     std::chrono::steady_clock::time_point start_;
-};
-
-/** Log severities, least to most severe. */
-enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Error = 3 };
-
-/** Parse "debug"/"info"/"warn"/"error"; throws ConfigError. */
-LogLevel parseLogLevel(const std::string &text);
-
-const char *logLevelName(LogLevel level);
-
-/**
- * The request-correlated structured service log: one JSON object per
- * line, {"ts_us":…,"lvl":…,"ev":…[,"rid":…][,fields…]}.  Disarmed
- * (the default) every call is a relaxed load and a branch; armed, a
- * mutex serializes whole-line writes so records from connection
- * threads and pool workers never interleave.  Field builders are
- * invoked only when the record will actually be written, so disarmed
- * call sites never render JSON.
- */
-class ServiceLog
-{
-  public:
-    using Fields = std::function<void(Json &)>;
-
-    static ServiceLog &instance();
-
-    static bool armed()
-    {
-        return armed_.load(std::memory_order_relaxed);
-    }
-
-    /** Start logging to @p path (append); throws IoError. */
-    void open(const std::string &path,
-              LogLevel min_level = LogLevel::Info);
-
-    void close();
-
-    bool enabled(LogLevel level) const
-    {
-        return armed() &&
-               level >= minLevel_.load(std::memory_order_relaxed);
-    }
-
-    /** Emit one record ("" rid = no rid member). */
-    void write(LogLevel level, const std::string &event,
-               const std::string &rid = std::string(),
-               const Fields &fields = nullptr);
-
-    /** Records written since open(), for tests. */
-    std::uint64_t lines() const;
-
-  private:
-    ServiceLog() = default;
-
-    static std::atomic<bool> armed_;
-
-    mutable std::mutex mutex_;
-    std::string path_;
-    int fd_ = -1;
-    std::atomic<LogLevel> minLevel_{LogLevel::Info};
-    std::uint64_t lines_ = 0;
-};
-
-/**
- * RAII span: "<name>.begin" at construction, "<name>.end" with
- * "dur_us" (plus any note()s) at destruction, both carrying @p rid.
- * Inactive — no clock read, no record — unless the log is armed at
- * construction.
- */
-class LogSpan
-{
-  public:
-    LogSpan(std::string name, std::string rid,
-            const ServiceLog::Fields &fields = nullptr);
-    ~LogSpan();
-
-    LogSpan(const LogSpan &) = delete;
-    LogSpan &operator=(const LogSpan &) = delete;
-
-    /** Attach a field to the end record. */
-    void note(const std::string &key, Json value);
-
-  private:
-    bool active_;
-    std::string name_;
-    std::string rid_;
-    std::chrono::steady_clock::time_point start_;
-    std::vector<std::pair<std::string, Json>> notes_;
 };
 
 /**

@@ -9,8 +9,6 @@
 #include <map>
 #include <sstream>
 
-#include "util/error.hh"
-
 namespace cpe::sim {
 
 namespace {
@@ -150,6 +148,9 @@ keyTable()
                   num<unsigned>(FIELD(unsigned, c.core.commitWidth))},
                  {"fetch_width", num<unsigned>(FIELD(
                                      unsigned, c.core.fetch.fetchWidth))},
+                 {"fetch_queue",
+                  num<std::size_t>(FIELD(std::size_t,
+                                         c.core.fetch.queueCapacity))},
                  {"rob",
                   num<std::size_t>(FIELD(std::size_t, c.core.robSize))},
                  {"iq",
@@ -171,6 +172,23 @@ keyTable()
                  {"no_commit_limit",
                   num<Cycle>(FIELD(Cycle,
                                    c.core.noCommitCycleLimit))},
+             }},
+            {"fu",
+             {
+                 {"int_alu",
+                  num<unsigned>(FIELD(unsigned, c.core.fu.intAlu.count))},
+                 {"int_mul",
+                  num<unsigned>(FIELD(unsigned, c.core.fu.intMul.count))},
+                 {"int_div",
+                  num<unsigned>(FIELD(unsigned, c.core.fu.intDiv.count))},
+                 {"fp_add",
+                  num<unsigned>(FIELD(unsigned, c.core.fu.fpAdd.count))},
+                 {"fp_mul",
+                  num<unsigned>(FIELD(unsigned, c.core.fu.fpMul.count))},
+                 {"fp_div",
+                  num<unsigned>(FIELD(unsigned, c.core.fu.fpDiv.count))},
+                 {"mem_agu",
+                  num<unsigned>(FIELD(unsigned, c.core.fu.memAgu.count))},
              }},
             {"bpred",
              {
@@ -497,6 +515,7 @@ toMachineFile(const SimConfig &config)
     out << "rename_width = " << core.renameWidth << "\n";
     out << "commit_width = " << core.commitWidth << "\n";
     out << "fetch_width = " << core.fetch.fetchWidth << "\n";
+    out << "fetch_queue = " << core.fetch.queueCapacity << "\n";
     out << "rob = " << core.robSize << "\n";
     out << "iq = " << core.iqSize << "\n";
     out << "lq = " << core.lsq.loadEntries << "\n";
@@ -507,6 +526,15 @@ toMachineFile(const SimConfig &config)
         << (core.fetch.modelWrongPathIFetch ? "true" : "false") << "\n";
     out << "max_cycles = " << core.maxCycles << "\n";
     out << "no_commit_limit = " << core.noCommitCycleLimit << "\n";
+
+    out << "\n[fu]\n";
+    out << "int_alu = " << core.fu.intAlu.count << "\n";
+    out << "int_mul = " << core.fu.intMul.count << "\n";
+    out << "int_div = " << core.fu.intDiv.count << "\n";
+    out << "fp_add = " << core.fu.fpAdd.count << "\n";
+    out << "fp_mul = " << core.fu.fpMul.count << "\n";
+    out << "fp_div = " << core.fu.fpDiv.count << "\n";
+    out << "mem_agu = " << core.fu.memAgu.count << "\n";
 
     out << "\n[bpred]\n";
     const char *kind = "gshare";
@@ -594,9 +622,8 @@ toMachineFile(const SimConfig &config)
     out << "confidence = " << config.sample.confidence << "\n";
 
     // Emitted only when armed: the disarmed default stays absent, so
-    // pre-chaos machine files (and every resume-journal key derived
-    // from this text) are byte-identical to before the section
-    // existed.
+    // pre-chaos machine files (and every result-store key derived from
+    // this text) are byte-identical to before the section existed.
     if (config.chaos.enabled()) {
         out << "\n[chaos]\n";
         out << "seed = " << config.chaos.seed << "\n";
@@ -607,16 +634,6 @@ toMachineFile(const SimConfig &config)
         out << "point = " << config.chaos.points << "\n";
     }
     return out.str();
-}
-
-std::string
-canonicalMachineFile(const std::string &source)
-{
-    ConfigParseResult parsed = parseConfig(source);
-    if (!parsed.ok)
-        throw ConfigError("machine-file text does not parse: " +
-                          parsed.error);
-    return toMachineFile(parsed.config);
 }
 
 ConfigParseResult

@@ -48,20 +48,13 @@ ConfigParseResult loadConfigFile(const std::string &path);
 /**
  * Serialize @p config as machine-file text that parseConfig() reads
  * back to an equivalent configuration — the reproducibility artefact
- * to archive next to a run's results.
+ * to archive next to a run's results, and (label cleared) the identity
+ * sim::ResultStore keys its entries by — so a knob that an experiment
+ * varies must be emitted here, or two different machines share one
+ * memo entry.  Pointers (trace sink, trace cache) and a disarmed chaos
+ * spec are not emitted.
  */
 std::string toMachineFile(const SimConfig &config);
-
-/**
- * The canonical form of machine-file text: parse @p source and
- * re-serialize the result, so reordered sections, comments, and
- * whitespace all collapse to one representation.  Everything that
- * hashes machine-file text into a cache key (sim::RunJournal,
- * serve::ResultStore) goes through this round trip, so two equivalent
- * descriptions of one machine always hit the same entry.  Throws
- * ConfigError when @p source does not parse.
- */
-std::string canonicalMachineFile(const std::string &source);
 
 } // namespace cpe::sim
 

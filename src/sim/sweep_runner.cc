@@ -1,7 +1,6 @@
 #include "sim/sweep_runner.hh"
 
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <cstdlib>
 #include <future>
@@ -9,7 +8,7 @@
 #include <thread>
 
 #include "obs/metrics.hh"
-#include "sim/run_journal.hh"
+#include "sim/result_store.hh"
 #include "util/fault.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
@@ -29,11 +28,8 @@ struct SweepMetrics
 {
     obs::Counter *runs;
     obs::Counter *failures;
-    obs::Counter *cancelled;
-    obs::Counter *resumed;
     obs::Counter *attempts;
     obs::Counter *retries;
-    obs::Counter *journalAppendFailures;
     obs::Histogram *wallMs;
 };
 
@@ -47,17 +43,10 @@ sweepMetrics()
                                   "runs completed successfully");
         m.failures = registry.counter(
             "sweep.failures", "runs that exhausted every attempt");
-        m.cancelled =
-            registry.counter("sweep.cancelled", "runs cancelled");
-        m.resumed = registry.counter(
-            "sweep.resumed", "runs answered from the resume journal");
         m.attempts =
             registry.counter("sweep.attempts", "execution attempts");
         m.retries = registry.counter(
             "sweep.retries", "attempts retried after transient failures");
-        m.journalAppendFailures = registry.counter(
-            "sweep.journal_append_failures",
-            "journal lines lost to append failures (results kept)");
         m.wallMs = registry.histogram(
             "sweep.run_wall_ms", obs::MetricsRegistry::wallMsBuckets(),
             "per-run wall time across all attempts, milliseconds");
@@ -67,42 +56,15 @@ sweepMetrics()
 }
 
 /**
- * Execute one config with fault capture and the runner's retry
- * policy.  Never throws: every failure lands in the outcome.  When a
- * resume journal is active, a journaled run returns its recorded
- * result without executing, and a fresh success is durably appended.
+ * Simulate one config with fault capture and the runner's retry
+ * policy.  Never throws: every failure lands in the outcome.
  */
 RunOutcome
-executeOne(const SimConfig &config, const util::RetryPolicy &policy,
-           const std::atomic<bool> *cancel)
+simulateOne(const SimConfig &config, const util::RetryPolicy &policy)
 {
     RunOutcome outcome;
     outcome.workload = config.workloadName;
     outcome.configTag = config.tag();
-
-    // Cancellation is consulted once, before any work: a cancelled
-    // run never simulated, so it carries no result and a dedicated
-    // "cancelled" kind that no retry policy considers transient.
-    if (cancel && cancel->load(std::memory_order_acquire)) {
-        outcome.errorKind = "cancelled";
-        outcome.errorMessage = "run cancelled before execution";
-        outcome.exception = std::make_exception_ptr(
-            SimError(outcome.errorMessage, "cancelled"));
-        sweepMetrics().cancelled->inc();
-        return outcome;
-    }
-
-    RunJournal *journal = RunJournal::active();
-    std::string journalKey;
-    if (journal) {
-        journalKey = RunJournal::keyFor(config);
-        if (journal->lookup(journalKey, outcome.result)) {
-            outcome.hasResult = true;
-            outcome.resumed = true;
-            sweepMetrics().resumed->inc();
-            return outcome;
-        }
-    }
 
     const unsigned maxAttempts = std::max(policy.maxAttempts, 1u);
     const std::string salt = outcome.workload + "|" + outcome.configTag;
@@ -143,22 +105,6 @@ executeOne(const SimConfig &config, const util::RetryPolicy &policy,
                 .count();
 
         if (outcome.ok()) {
-            if (journal) {
-                // A lost journal line costs one re-execution on the
-                // next resume, never the result — warn, don't fail.
-                // The loss IS counted: operators read
-                // sweep.journal_append_failures to learn their resume
-                // coverage is thinner than the run count suggests.
-                try {
-                    journal->record(journalKey, outcome.result);
-                } catch (const SimError &error) {
-                    sweepMetrics().journalAppendFailures->inc();
-                    warn(Msg()
-                         << "sweep: could not journal "
-                         << outcome.workload << " / "
-                         << outcome.configTag << ": " << error.what());
-                }
-            }
             sweepMetrics().runs->inc();
             sweepMetrics().wallMs->observe(outcome.wallMs);
             return outcome;
@@ -180,6 +126,46 @@ executeOne(const SimConfig &config, const util::RetryPolicy &policy,
         if (delay)
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(delay));
+    }
+}
+
+/**
+ * The per-run step: consult the installed result store and simulate
+ * only on a miss.  A hit carries the stored result restamped with this
+ * config's tag, and attempts = 0.  Traced runs bypass the store: their
+ * trace events are a side effect a stored result cannot replay.
+ */
+RunOutcome
+executeOne(const SimConfig &config, const util::RetryPolicy &policy)
+{
+    ResultStore *store = ResultStore::active();
+    if (!store || config.obs.traceSink)
+        return simulateOne(config, policy);
+
+    RunOutcome outcome;
+    bool simulated = false;
+    try {
+        SimResult result = store->fetchOrCompute(
+            ResultStore::keyFor(config), [&]() {
+                outcome = simulateOne(config, policy);
+                simulated = true;
+                if (!outcome.ok())
+                    std::rethrow_exception(outcome.exception);
+                return outcome.result;
+            });
+        if (simulated)
+            return outcome;
+        outcome.workload = config.workloadName;
+        outcome.configTag = config.tag();
+        outcome.result = std::move(result);
+        outcome.result.configTag = outcome.configTag;
+        outcome.hasResult = true;
+        return outcome;
+    } catch (...) {
+        // Either this run's own failure, already structured, or the
+        // failure of a flight it joined — which a pure function of the
+        // config repeats, so run it here for a record of its own.
+        return simulated ? outcome : simulateOne(config, policy);
     }
 }
 
@@ -247,7 +233,7 @@ SweepRunner::SweepRunner(unsigned jobs)
 RunOutcome
 SweepRunner::runOne(const SimConfig &config) const
 {
-    return executeOne(config, policy_, cancel_);
+    return executeOne(config, policy_);
 }
 
 std::vector<RunOutcome>
@@ -256,7 +242,7 @@ SweepRunner::runOutcomes(const std::vector<SimConfig> &configs) const
     std::vector<RunOutcome> outcomes(configs.size());
     if (jobs_ <= 1 || configs.size() <= 1) {
         for (std::size_t i = 0; i < configs.size(); ++i)
-            outcomes[i] = executeOne(configs[i], policy_, cancel_);
+            outcomes[i] = executeOne(configs[i], policy_);
         return outcomes;
     }
 
@@ -277,7 +263,7 @@ SweepRunner::runOutcomes(const std::vector<SimConfig> &configs) const
     futures.reserve(configs.size());
     for (const auto &config : configs)
         futures.push_back(pool.submit([&config, this]() {
-            return executeOne(config, policy_, cancel_);
+            return executeOne(config, policy_);
         }));
 
     // Collect in submission order; runOne never throws, so every

@@ -22,17 +22,17 @@
  * throwing contract for callers that want all-or-nothing, built on the
  * same machinery.
  *
- * Resume contract: when a RunJournal is installed
- * (RunJournal::setActive), runs whose config key is already journaled
- * return their recorded result without executing (resumed = true,
- * attempts = 0), and every freshly completed run is durably appended —
- * see run_journal.hh.
+ * Memo contract: when a ResultStore is installed
+ * (ResultStore::setActive), a run whose machine the store already
+ * holds returns the recorded result without executing (attempts = 0,
+ * configTag restamped from the requesting config), concurrent runs of
+ * one machine simulate once, and every fresh success is recorded —
+ * see result_store.hh.  Runs with a trace sink always simulate.
  */
 
 #ifndef CPE_SIM_SWEEP_RUNNER_HH
 #define CPE_SIM_SWEEP_RUNNER_HH
 
-#include <atomic>
 #include <exception>
 #include <vector>
 
@@ -68,9 +68,8 @@ struct RunOutcome
     std::exception_ptr exception;
 
     /** Execution metadata. */
-    unsigned attempts = 0;     ///< simulate() calls made (0 if resumed)
+    unsigned attempts = 0;     ///< simulate() calls (0: from the store)
     double wallMs = 0.0;       ///< wall-clock time of the final attempt
-    bool resumed = false;      ///< served from the resume journal
 
     bool ok() const { return hasResult; }
 
@@ -114,25 +113,11 @@ class SweepRunner
     runOutcomes(const std::vector<SimConfig> &configs) const;
 
     /**
-     * Run one config through the same journal-consult / fault-capture
-     * / retry machinery as runOutcomes(), inline on the calling
-     * thread.  This is the unit the serving layer schedules itself
-     * (serve::Server owns the pool there, so it needs the per-run
-     * step without the fan-out).
+     * Run one config through the same store-consult / fault-capture /
+     * retry machinery as runOutcomes(), inline on the calling thread —
+     * for callers that schedule runs themselves.
      */
     RunOutcome runOne(const SimConfig &config) const;
-
-    /**
-     * Install a cancellation flag consulted before each run starts.
-     * When the flag reads true, queued runs complete immediately with
-     * a "cancelled" outcome instead of simulating (in-flight runs are
-     * not interrupted — they are bounded by the watchdog budget).
-     * The flag must outlive every run; nullptr clears it.
-     */
-    void setCancelFlag(const std::atomic<bool> *cancel)
-    {
-        cancel_ = cancel;
-    }
 
     /** The retry policy this runner applies to transient failures. */
     const util::RetryPolicy &retryPolicy() const { return policy_; }
@@ -171,7 +156,6 @@ class SweepRunner
   private:
     unsigned jobs_;
     util::RetryPolicy policy_;
-    const std::atomic<bool> *cancel_ = nullptr;
 };
 
 } // namespace cpe::sim

@@ -20,12 +20,8 @@
 
 #include <gtest/gtest.h>
 
-#include "serve/client.hh"
-#include "serve/result_store.hh"
-#include "serve/server.hh"
 #include "sim/config.hh"
-#include "sim/config_file.hh"
-#include "sim/run_journal.hh"
+#include "sim/result_store.hh"
 #include "sim/simulator.hh"
 #include "sim/sweep_runner.hh"
 #include "sim/trace_cache.hh"
@@ -87,8 +83,8 @@ TEST(ChaosSpec, GlobMatch)
     EXPECT_TRUE(util::globMatch("*.write", "trace_sink.write"));
     EXPECT_TRUE(util::globMatch("*cache*write", "trace_cache.spill_write"));
     EXPECT_FALSE(util::globMatch("*cache*write", "baseline.read"));
-    EXPECT_TRUE(util::globMatch("journal.appen?", "journal.append"));
-    EXPECT_FALSE(util::globMatch("journal.appen?", "journal.appendix"));
+    EXPECT_TRUE(util::globMatch("store.writ?", "store.write"));
+    EXPECT_FALSE(util::globMatch("store.writ?", "store.writes"));
     EXPECT_TRUE(util::globMatch("", ""));
     EXPECT_FALSE(util::globMatch("", "x"));
 }
@@ -402,112 +398,68 @@ TEST(Chaos, ParallelSweepInvariantHolds)
 }
 
 /**
- * The chaos invariant extended over the serving layer: with every
- * serve.* seam armed — request reads, response writes, store reads,
- * store writes — a served grid's result records are still byte-
- * identical to their fault-free twins, failures surface as structured
- * error records or a cleanly dropped connection (never a crash or a
- * wrong number), and a disarmed rerun over the same store serves the
- * full grid byte-identically.
+ * The chaos invariant extended over the result store: with the
+ * store.* seams armed — entry reads and entry writes — a grid served
+ * through an entry directory still comes back byte-identical to its
+ * fault-free twin (a failed read is a miss that re-simulates, a failed
+ * write costs only durability), and a disarmed rerun over whatever the
+ * chaos matrix left in the directory matches too.
  */
-TEST(Chaos, ServedGridInvariantUnderServeFaults)
+TEST(Chaos, StoredGridInvariantUnderStoreFaults)
 {
     VerboseScope quiet(false);
     DisarmGuard guard;
     util::FaultInjector::instance().disarm();
 
-    // Fault-free reference results, computed directly (no server).
     std::map<std::string, std::string> golden;
-    for (const char *workload : {"crc", "copy"})
-        golden[workload] =
-            sim::resultToJson(sim::simulate(chaosConfig(workload, false)))
-                .dump();
+    for (const auto &config : chaosGrid())
+        golden[config.workloadName + "|" + config.tag()] =
+            sim::resultToJson(sim::simulate(config)).dump();
 
-    auto scratch = std::filesystem::temp_directory_path() /
-                   ("cpe_chaos_serve." + std::to_string(::getpid()));
-    std::filesystem::remove_all(scratch);
-    std::filesystem::create_directories(scratch);
-    serve::ResultStore store((scratch / "store").string());
-    serve::ServerOptions options;
-    options.socketPath = (scratch / "sock").string();
-    options.jobs = 1;
-    serve::Server server(options, &store);
-    server.start();
+    auto dir = std::filesystem::temp_directory_path() /
+               ("cpe_chaos_store." + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
 
-    serve::SweepRequest request;
-    request.machineText = sim::toMachineFile(chaosConfig("crc", false));
-    request.workloads = {"crc", "copy"};
-
-    // One sweep request; records checked against the reference as they
-    // stream.  A mid-stream connection loss (an injected read/write
-    // fault) is a tolerated outcome — the next request starts fresh.
-    auto served_sweep = [&](unsigned &checked, unsigned &errors) {
-        serve::Client client(options.socketPath);
-        Json terminal = client.sweep(request, [&](const Json &record) {
-            const Json *type = record.find("t");
-            if (!type || !type->isString())
-                return;
-            if (type->asString() == "result") {
-                const Json &result =
-                    record.at("result", "result record");
-                std::string workload =
-                    result.at("workload", "result").asString();
-                EXPECT_EQ(result.dump(), golden[workload])
-                    << "served result diverged for " << workload;
-                ++checked;
-            } else if (type->asString() == "error") {
-                // Run- or request-level: structured either way.
-                EXPECT_TRUE(record.find("kind"));
-                EXPECT_TRUE(record.find("message"));
-                ++errors;
-            }
-        });
-        const Json *type = terminal.find("t");
-        return type && type->isString() && type->asString() == "done";
+    // One stored sweep per schedule; each opens the directory afresh
+    // so its lookups reach the disk rather than an earlier memo.
+    auto stored_sweep = [&]() {
+        sim::ResultStore store(dir.string());
+        sim::ResultStore::setActive(&store);
+        auto outcomes = sim::SweepRunner(1).runOutcomes(chaosGrid());
+        sim::ResultStore::setActive(nullptr);
+        unsigned checked = 0;
+        for (const auto &outcome : outcomes) {
+            EXPECT_TRUE(outcome.ok())
+                << outcome.errorKind << ": " << outcome.errorMessage;
+            if (!outcome.ok())
+                continue;
+            EXPECT_EQ(sim::resultToJson(outcome.result).dump(),
+                      golden[outcome.workload + "|" + outcome.configTag])
+                << outcome.workload << " / " << outcome.configTag;
+            ++checked;
+        }
+        return checked;
     };
 
     unsigned checked = 0;
-    unsigned errors = 0;
-    unsigned dropped = 0;
     for (unsigned seed : {7u, 8u, 9u}) {
-        for (const char *points :
-             {"serve.store_*", "serve.request_read",
-              "serve.response_write", "serve.*"}) {
+        for (const char *points : {"store.read", "store.write", "store.*"}) {
             util::FaultInjector::instance().arm(util::ChaosSpec::parse(
-                "seed=" + std::to_string(seed) + ",rate=0.2,point=" +
+                "seed=" + std::to_string(seed) + ",rate=0.5,point=" +
                 std::string(points)));
-            try {
-                served_sweep(checked, errors);
-            } catch (const SimError &error) {
-                // The connection died mid-stream (injected read or
-                // write fault): tolerated, but only as an "io" loss.
-                EXPECT_EQ(std::string(error.kind()), "io")
-                    << error.what();
-                ++dropped;
-            }
+            checked += stored_sweep();
         }
     }
     auto injector_stats = util::FaultInjector::instance().stats();
     util::FaultInjector::instance().disarm();
 
-    // The matrix must have actually reached the serving seams.
-    EXPECT_GT(injector_stats.count("serve.store_read") +
-                  injector_stats.count("serve.store_write") +
-                  injector_stats.count("serve.request_read") +
-                  injector_stats.count("serve.response_write"),
-              0u);
-    EXPECT_GT(checked, 0u) << "no served result was ever checked";
+    // The matrix must have actually reached both store seams.
+    EXPECT_GT(injector_stats["store.read"].fired, 0u);
+    EXPECT_GT(injector_stats["store.write"].fired, 0u);
+    EXPECT_EQ(checked, 9u * chaosGrid().size());
 
-    // Disarmed, the same server over the same store serves the full
-    // grid byte-identically — whatever the chaos matrix left behind.
-    unsigned clean_checked = 0;
-    unsigned clean_errors = 0;
-    EXPECT_TRUE(served_sweep(clean_checked, clean_errors));
-    EXPECT_EQ(clean_checked, 2u);
-    EXPECT_EQ(clean_errors, 0u);
-
-    server.stop();
-    std::filesystem::remove_all(scratch);
+    EXPECT_EQ(stored_sweep(), chaosGrid().size());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Chaos, SpillCircuitBreakerDegradesToMemoryOnly)

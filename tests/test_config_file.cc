@@ -222,6 +222,28 @@ TEST(ConfigFile, SerializationRoundTrips)
     EXPECT_EQ(a.cycles, b.cycles) << text;
     EXPECT_EQ(a.insts, b.insts);
     EXPECT_EQ(parsed.config.label, "roundtrip");
+
+    // F7's 8-wide dual-port machine scales the fetch queue and the
+    // functional-unit pool too; the text must carry both, or the
+    // reparsed machine is a different (slower) one.
+    SimConfig wide = SimConfig::defaults();
+    wide.workloadName = "matmul";
+    wide.tech() = core::PortTechConfig::dualPortBase();
+    wide.core.renameWidth = wide.core.issueWidth = wide.core.commitWidth = 8;
+    wide.core.fetch.fetchWidth = 8;
+    wide.core.robSize = 128;
+    wide.core.iqSize = 64;
+    wide.core.lsq.loadEntries = wide.core.lsq.storeEntries = 32;
+    wide.core.fetch.queueCapacity = 32;
+    wide.core.fu.intAlu.count = wide.core.fu.memAgu.count = 4;
+    wide.core.fu.fpAdd.count = wide.core.fu.fpMul.count = 2;
+
+    std::string wide_text = toMachineFile(wide);
+    auto wide_parsed = parseConfig(wide_text);
+    ASSERT_TRUE(wide_parsed) << wide_parsed.error;
+    EXPECT_EQ(toMachineFile(wide_parsed.config), wide_text);
+    EXPECT_EQ(simulate(wide).cycles, simulate(wide_parsed.config).cycles)
+        << wide_text;
 }
 
 TEST(ConfigFile, MissingFileReportsError)

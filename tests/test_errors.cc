@@ -19,7 +19,7 @@
 #include "exp/experiment.hh"
 #include "exp/registry.hh"
 #include "sim/config.hh"
-#include "sim/run_journal.hh"
+#include "sim/result_store.hh"
 #include "sim/simulator.hh"
 #include "sim/sweep_runner.hh"
 #include "util/error.hh"
@@ -357,6 +357,37 @@ TEST(EvalExitCodes, UnknownChaosKeyIsConfigErrorTwo)
     EXPECT_EQ(evalWith({"--validate", "--run", "T3", "--workloads",
                         "crc", "--chaos", "sede=1"}),
               2);
+}
+
+TEST(EvalExitCodes, JunkNumericFlagIsUsageErrorTwo)
+{
+    // Every numeric flag goes through one strict parser: junk, a sign,
+    // or trailing characters is a usage error, never a silent 0 (a
+    // "--tolerance abc" gate that passes within 0.00%, a "--jobs abc"
+    // that quietly means every core).
+    const std::vector<std::vector<std::string>> junk = {
+        {"--tolerance", "abc"},        {"--tolerance", "-1"},
+        {"--jobs", "abc"},             {"--jobs", "4x"},
+        {"--retries", "abc"},          {"--retries", "-1"},
+        {"--retry-backoff-ms", "abc"}, {"--sample-cycles", "abc"},
+        {"--sample-insts", "1e3"},     {"--sample-warmup", "abc"},
+        {"--sample-period", ""},       {"--sample-intervals", "abc"},
+        {"--sample-confidence", "abc"}, {"--trace-cache-mb", "abc"},
+        {"--profile=abc"},
+    };
+    for (const auto &flag : junk) {
+        std::vector<std::string> args = {"--validate", "--run", "T3",
+                                         "--workloads", "crc"};
+        args.insert(args.end(), flag.begin(), flag.end());
+        testing::internal::CaptureStderr();
+        int rc = evalWith(args);
+        std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_EQ(rc, 2) << flag.front();
+        EXPECT_NE(err.find("wants a non-negative number"),
+                  std::string::npos)
+            << flag.front() << ": " << err;
+    }
+    sim::SweepRunner::setDefaultJobs(0);
 }
 
 TEST(EvalExitCodes, BaselineDriftIsThree)

@@ -1,28 +1,41 @@
 /**
  * @file
- * serve::ResultStore in isolation: byte-exact hit/miss/insert round
- * trips, key sensitivity (machine text, workload options, experiment
- * id, store version — and formatting-invariance via the canonical
- * machine-file round trip), corrupt-entry fallback without poisoning
- * the store, chaos-injected store I/O failures, and single-flight
- * dedup executing exactly once under concurrent identical requests.
+ * sim::ResultStore, the one result memo: byte-exact round trips in
+ * memory and on disk, key sensitivity (every machine knob and version,
+ * never the display label or the formatting of a hand-written machine
+ * file), corrupt-entry fallback without poisoning the store,
+ * chaos-injected store I/O failures, single-flight dedup under
+ * concurrent identical requests and parallel sweeps, kill-and-resume
+ * stitching through an entry directory, cpe_eval's memo (byte-identical
+ * documents, one simulation per distinct machine, traced runs bypassing
+ * it), and the simulator-version guard.
  */
+
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "serve/result_store.hh"
+#include "exp/driver.hh"
+#include "exp/experiment.hh"
+#include "exp/registry.hh"
 #include "sim/config.hh"
 #include "sim/config_file.hh"
-#include "sim/run_journal.hh"
+#include "sim/report.hh"
+#include "sim/result_store.hh"
 #include "sim/simulator.hh"
+#include "sim/sweep_runner.hh"
 #include "util/error.hh"
 #include "util/fault.hh"
 #include "util/logging.hh"
@@ -30,37 +43,52 @@
 namespace cpe {
 namespace {
 
-/** A scratch store directory, removed on scope exit. */
-struct ScratchStore
+/** A scratch directory, removed on scope exit. */
+struct ScratchDir
 {
     std::filesystem::path dir;
 
-    explicit ScratchStore(const std::string &name)
-        : dir(std::filesystem::temp_directory_path() / name)
+    explicit ScratchDir(const std::string &name)
+        : dir(std::filesystem::temp_directory_path() /
+              (name + "." + std::to_string(::getpid())))
     {
         std::filesystem::remove_all(dir);
     }
-    ~ScratchStore()
+    ~ScratchDir()
     {
         std::error_code ec;
         std::filesystem::remove_all(dir, ec);
     }
+
+    std::string str() const { return dir.string(); }
+};
+
+/** Installs @p store for one scope. */
+struct ActiveScope
+{
+    explicit ActiveScope(sim::ResultStore *store)
+    {
+        sim::ResultStore::setActive(store);
+    }
+    ~ActiveScope() { sim::ResultStore::setActive(nullptr); }
 };
 
 sim::SimConfig
-storeConfig(const std::string &workload)
+storeConfig(const std::string &workload, bool dual = false)
 {
     sim::SimConfig config = sim::SimConfig::defaults();
     config.workloadName = workload;
-    config.label = "store-test";
+    config.core.dcache.tech =
+        dual ? core::PortTechConfig::dualPortBase()
+             : core::PortTechConfig::singlePortAllTechniques();
+    config.label = dual ? "dual" : "techniques";
     return config;
 }
 
 std::string
-keyOf(const sim::SimConfig &config, const std::string &experiment = "F5")
+keyOf(const sim::SimConfig &config)
 {
-    return serve::ResultStore::keyFor(sim::toMachineFile(config),
-                                      experiment);
+    return sim::ResultStore::keyFor(config);
 }
 
 /** A fully hand-made result: store tests need bytes, not physics. */
@@ -78,11 +106,34 @@ fakeResult(const std::string &workload, double ipc)
     return result;
 }
 
+std::string
+dumpOf(const sim::SimResult &result)
+{
+    return sim::resultToJson(result).dump();
+}
+
+TEST(ResultStore, ResultJsonRoundTripsByteExactly)
+{
+    sim::SimResult result = sim::simulate(storeConfig("crc"));
+    Json doc = sim::resultToJson(result);
+    sim::SimResult back =
+        sim::resultFromJson(Json::parse(doc.dump(), "round trip"));
+    // The serialization uses shortest-round-trip doubles, so one more
+    // trip through JSON must reproduce the exact same bytes.
+    EXPECT_EQ(sim::resultToJson(back).dump(), doc.dump());
+    EXPECT_EQ(back.workload, result.workload);
+    EXPECT_EQ(back.configTag, result.configTag);
+    EXPECT_EQ(back.cycles, result.cycles);
+    EXPECT_EQ(back.ipc, result.ipc);
+    EXPECT_EQ(back.statsJson, result.statsJson);
+    EXPECT_EQ(back.statsDump, result.statsDump);
+}
+
 TEST(ResultStore, HitMissInsertRoundTripIsByteExact)
 {
     VerboseScope quiet(false);
-    ScratchStore scratch("cpe_result_store_roundtrip");
-    serve::ResultStore store(scratch.dir.string());
+    ScratchDir scratch("cpe_result_store_roundtrip");
+    sim::ResultStore store(scratch.str());
 
     sim::SimConfig config = storeConfig("crc");
     std::string key = keyOf(config);
@@ -96,12 +147,9 @@ TEST(ResultStore, HitMissInsertRoundTripIsByteExact)
     EXPECT_EQ(store.entries(), 1u);
 
     ASSERT_TRUE(store.lookup(key, loaded));
-    // The entry embeds resultToJson, whose doubles are shortest-round-
-    // trip — a store round trip must reproduce the exact bytes.
-    EXPECT_EQ(sim::resultToJson(loaded).dump(),
-              sim::resultToJson(result).dump());
+    EXPECT_EQ(dumpOf(loaded), dumpOf(result));
 
-    serve::ResultStore::Stats stats = store.stats();
+    sim::ResultStore::Stats stats = store.stats();
     EXPECT_EQ(stats.hits, 1u);
     EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.inserts, 1u);
@@ -110,19 +158,19 @@ TEST(ResultStore, HitMissInsertRoundTripIsByteExact)
 TEST(ResultStore, EntrySurvivesReopen)
 {
     VerboseScope quiet(false);
-    ScratchStore scratch("cpe_result_store_reopen");
+    ScratchDir scratch("cpe_result_store_reopen");
     sim::SimResult result = fakeResult("crc", 1.25);
     std::string key = keyOf(storeConfig("crc"));
     {
-        serve::ResultStore store(scratch.dir.string());
+        sim::ResultStore store(scratch.str());
         store.insert(key, result);
     }
-    serve::ResultStore reopened(scratch.dir.string());
+    sim::ResultStore reopened(scratch.str());
     EXPECT_EQ(reopened.entries(), 1u);
     sim::SimResult loaded;
     ASSERT_TRUE(reopened.lookup(key, loaded));
-    EXPECT_EQ(sim::resultToJson(loaded).dump(),
-              sim::resultToJson(result).dump());
+    EXPECT_EQ(dumpOf(loaded), dumpOf(result));
+    EXPECT_EQ(reopened.stats().diskHits, 1u);
 }
 
 TEST(ResultStore, KeyTracksContentNotFormatting)
@@ -142,29 +190,52 @@ TEST(ResultStore, KeyTracksContentNotFormatting)
 
     EXPECT_NE(keyOf(storeConfig("copy")), key);
 
-    // ...as do timing knobs, the experiment id, and the version.
+    // ...as do timing knobs — including the fetch queue and the
+    // functional-unit counts F7 scales — and the store version...
     sim::SimConfig timing = storeConfig("crc");
     timing.core.dcache.tech.storeBufferEntries += 1;
     EXPECT_NE(keyOf(timing), key);
+    sim::SimConfig queue = storeConfig("crc");
+    queue.core.fetch.queueCapacity = 32;
+    EXPECT_NE(keyOf(queue), key);
+    sim::SimConfig alus = storeConfig("crc");
+    alus.core.fu.intAlu.count = 4;
+    EXPECT_NE(keyOf(alus), key);
+    EXPECT_NE(sim::ResultStore::keyFor(config, "store-999|cpet-0"), key);
 
-    EXPECT_NE(keyOf(config, "F6"), key);
-    EXPECT_NE(serve::ResultStore::keyFor(sim::toMachineFile(config), "F5",
-                                         "serve-999|cpet-0"),
-              key);
+    // ...but not the label, which names a grid column, not a machine.
+    sim::SimConfig relabelled = storeConfig("crc");
+    relabelled.label = "some other column";
+    EXPECT_EQ(keyOf(relabelled), key);
 
     // A disarmed chaos spec must not perturb the key (it is not
-    // serialized), so pre-chaos stores keep resolving; arming it must.
+    // serialized); arming it must.
     sim::SimConfig with_chaos = storeConfig("crc");
-    EXPECT_EQ(keyOf(with_chaos), key);
+    EXPECT_EQ(sim::toMachineFile(with_chaos).find("[chaos]"),
+              std::string::npos);
     with_chaos.chaos = util::ChaosSpec::parse("seed=1,rate=0.5");
     EXPECT_NE(keyOf(with_chaos), key);
+
+    // A machine file scruffed up without changing its meaning —
+    // comments, blank lines, trailing whitespace — parses to the same
+    // key.
+    std::string pristine = sim::toMachineFile(config);
+    std::string scruffy = "# hand-edited copy\n\n";
+    for (char c : pristine) {
+        scruffy += c;
+        if (c == '\n')
+            scruffy += " \t\n";
+    }
+    sim::ConfigParseResult reparsed = sim::parseConfig(scruffy);
+    ASSERT_TRUE(reparsed.ok) << reparsed.error;
+    EXPECT_EQ(keyOf(reparsed.config), key);
 }
 
 TEST(ResultStore, ReorderedEquivalentMachineTextHitsSameKey)
 {
     // Two hand-written descriptions of one machine: reordered
-    // sections, comments, and loose whitespace.  The canonical
-    // round trip must collapse them to a single cache entry.
+    // sections, comments, and loose whitespace.  Both parse to one
+    // config, so they share a single entry.
     const std::string plain = "workload = crc\n"
                               "[core]\n"
                               "issue_width = 8\n"
@@ -181,66 +252,67 @@ TEST(ResultStore, ReorderedEquivalentMachineTextHitsSameKey)
                                   "# the core section, later this time\n"
                                   "[core]\n"
                                   "issue_width = 8\n";
+    auto key = [](const std::string &text) {
+        sim::ConfigParseResult parsed = sim::parseConfig(text);
+        EXPECT_TRUE(parsed.ok) << parsed.error;
+        return keyOf(parsed.config);
+    };
     EXPECT_NE(plain, reordered);
-    EXPECT_EQ(serve::ResultStore::keyFor(plain, "F5"),
-              serve::ResultStore::keyFor(reordered, "F5"));
+    EXPECT_EQ(key(plain), key(reordered));
 
     // And a genuinely different machine must not collide.
-    const std::string different = plain + "line_buffers = 2\n";
-    EXPECT_NE(serve::ResultStore::keyFor(different, "F5"),
-              serve::ResultStore::keyFor(plain, "F5"));
-}
-
-TEST(ResultStore, KeyForRejectsUnparseableMachineText)
-{
-    EXPECT_THROW(serve::ResultStore::keyFor("[no_such_section]\nx = 1\n",
-                                            "F5"),
-                 ConfigError);
+    EXPECT_NE(key(plain + "line_buffers = 2\n"), key(plain));
 }
 
 TEST(ResultStore, CorruptEntryFallsBackWithoutPoisoningTheStore)
 {
     VerboseScope quiet(false);
-    ScratchStore scratch("cpe_result_store_corrupt");
-    serve::ResultStore store(scratch.dir.string());
+    ScratchDir scratch("cpe_result_store_corrupt");
     sim::SimResult result = fakeResult("crc", 1.5);
     std::string key = keyOf(storeConfig("crc"));
-    store.insert(key, result);
+    std::string path;
+    {
+        sim::ResultStore store(scratch.str());
+        store.insert(key, result);
+        path = store.entryPath(key);
+    }
 
     // Truncate the entry mid-JSON, the way a torn write would (the
     // tmp+fsync+rename discipline makes this impossible for our own
     // writes, but a store directory is user-editable).
     {
-        std::ofstream torn(store.entryPath(key),
-                           std::ios::binary | std::ios::trunc);
+        std::ofstream torn(path, std::ios::binary | std::ios::trunc);
         torn << "{\"t\":\"entry\",\"k\":\"" << key << "\",\"vers";
     }
+    sim::ResultStore store(scratch.str());
     sim::SimResult loaded;
     EXPECT_FALSE(store.lookup(key, loaded)) << "corrupt entry is a miss";
     EXPECT_GE(store.stats().corrupt, 1u);
 
     // The store is not poisoned: a fresh insert overwrites the corpse
-    // and the next lookup hits.
+    // and the next process's lookup hits.
     store.insert(key, result);
-    ASSERT_TRUE(store.lookup(key, loaded));
-    EXPECT_EQ(sim::resultToJson(loaded).dump(),
-              sim::resultToJson(result).dump());
+    {
+        sim::ResultStore reopened(scratch.str());
+        ASSERT_TRUE(reopened.lookup(key, loaded));
+        EXPECT_EQ(dumpOf(loaded), dumpOf(result));
+    }
 
     // A wrong-version entry is equally a miss.
     {
-        std::ofstream stale(store.entryPath(key),
-                            std::ios::binary | std::ios::trunc);
+        std::ofstream stale(path, std::ios::binary | std::ios::trunc);
         stale << "{\"t\":\"entry\",\"k\":\"" << key
-              << "\",\"version\":\"serve-0|cpet-0\",\"result\":{}}\n";
+              << "\",\"version\":\"store-0|cpet-0\",\"result\":{}}\n";
     }
-    EXPECT_FALSE(store.lookup(key, loaded));
+    sim::ResultStore reopened(scratch.str());
+    EXPECT_FALSE(reopened.lookup(key, loaded));
 }
 
 TEST(ResultStore, FetchOrComputeReportsItsSource)
 {
     VerboseScope quiet(false);
-    ScratchStore scratch("cpe_result_store_source");
-    serve::ResultStore store(scratch.dir.string());
+    ScratchDir scratch("cpe_result_store_source");
+    sim::ResultStore store(scratch.str());
     std::string key = keyOf(storeConfig("crc"));
 
     std::string source;
@@ -250,23 +322,26 @@ TEST(ResultStore, FetchOrComputeReportsItsSource)
     EXPECT_EQ(store.stats().computes, 1u);
     EXPECT_EQ(store.entries(), 1u);
 
-    sim::SimResult second = store.fetchOrCompute(
-        key,
-        []() -> sim::SimResult {
-            throw WorkloadError("must not recompute a stored result");
-        },
-        &source);
+    auto must_not_run = []() -> sim::SimResult {
+        throw WorkloadError("must not recompute a stored result");
+    };
+    sim::SimResult second = store.fetchOrCompute(key, must_not_run, &source);
     EXPECT_EQ(source, "store");
-    EXPECT_EQ(sim::resultToJson(second).dump(),
-              sim::resultToJson(first).dump());
+    EXPECT_EQ(dumpOf(second), dumpOf(first));
     EXPECT_EQ(store.stats().computes, 1u);
+
+    // A later process finds it on disk.
+    sim::ResultStore reopened(scratch.str());
+    sim::SimResult third =
+        reopened.fetchOrCompute(key, must_not_run, &source);
+    EXPECT_EQ(source, "store");
+    EXPECT_EQ(dumpOf(third), dumpOf(first));
 }
 
 TEST(ResultStore, SingleFlightDedupExecutesExactlyOnce)
 {
     VerboseScope quiet(false);
-    ScratchStore scratch("cpe_result_store_singleflight");
-    serve::ResultStore store(scratch.dir.string());
+    sim::ResultStore store;
     std::string key = keyOf(storeConfig("crc"));
 
     constexpr unsigned kCallers = 8;
@@ -283,9 +358,7 @@ TEST(ResultStore, SingleFlightDedupExecutesExactlyOnce)
     std::vector<std::string> sources(kCallers);
     for (unsigned i = 0; i < kCallers; ++i)
         callers.emplace_back([&, i]() {
-            sim::SimResult result =
-                store.fetchOrCompute(key, compute, &sources[i]);
-            dumps[i] = sim::resultToJson(result).dump();
+            dumps[i] = dumpOf(store.fetchOrCompute(key, compute, &sources[i]));
         });
     for (auto &thread : callers)
         thread.join();
@@ -294,18 +367,19 @@ TEST(ResultStore, SingleFlightDedupExecutesExactlyOnce)
         << "N concurrent identical requests must simulate once";
     for (unsigned i = 1; i < kCallers; ++i)
         EXPECT_EQ(dumps[i], dumps[0]);
-    unsigned shared = 0;
+    unsigned sim = 0;
     for (const auto &source : sources)
-        shared += source == "shared" ? 1 : 0;
-    EXPECT_EQ(shared, kCallers - 1) << "exactly one leader";
-    EXPECT_EQ(store.stats().sharedWaits, kCallers - 1);
+        sim += source == "sim" ? 1 : 0;
+    EXPECT_EQ(sim, 1u) << "exactly one leader";
+    EXPECT_EQ(store.stats().fetches, kCallers);
+    EXPECT_EQ(store.stats().computes, 1u);
 }
 
 TEST(ResultStore, ComputeFailurePropagatesAndIsNotMemoized)
 {
     VerboseScope quiet(false);
-    ScratchStore scratch("cpe_result_store_failure");
-    serve::ResultStore store(scratch.dir.string());
+    ScratchDir scratch("cpe_result_store_failure");
+    sim::ResultStore store(scratch.str());
     std::string key = keyOf(storeConfig("crc"));
 
     EXPECT_THROW(store.fetchOrCompute(key,
@@ -327,35 +401,40 @@ TEST(ResultStore, ComputeFailurePropagatesAndIsNotMemoized)
 TEST(ResultStore, InsertFailureIsSurvivable)
 {
     VerboseScope quiet(false);
-    ScratchStore scratch("cpe_result_store_insertfail");
-    serve::ResultStore store(scratch.dir.string());
+    ScratchDir scratch("cpe_result_store_insertfail");
+    sim::ResultStore store(scratch.str());
     std::string key = keyOf(storeConfig("crc"));
 
     util::FaultInjector::instance().arm(
-        util::ChaosSpec::parse("seed=1,rate=1,point=serve.store_write"));
+        util::ChaosSpec::parse("seed=1,rate=1,point=store.write"));
     std::string source;
     sim::SimResult result = store.fetchOrCompute(
         key, []() { return fakeResult("crc", 5.0); }, &source);
     util::FaultInjector::instance().disarm();
 
-    // Losing durability for the entry costs a future re-simulation,
-    // never this result.
+    // Losing durability for the entry costs a later re-simulation,
+    // never this result — and this process still reuses it.
     EXPECT_EQ(source, "sim");
     EXPECT_EQ(result.ipc, 5.0);
     EXPECT_EQ(store.entries(), 0u);
     EXPECT_GE(store.stats().insertFailures, 1u);
+    sim::SimResult again;
+    EXPECT_TRUE(store.lookup(key, again));
 }
 
 TEST(ResultStore, ReadFaultFallsBackToRecomputation)
 {
     VerboseScope quiet(false);
-    ScratchStore scratch("cpe_result_store_readfault");
-    serve::ResultStore store(scratch.dir.string());
+    ScratchDir scratch("cpe_result_store_readfault");
     std::string key = keyOf(storeConfig("crc"));
-    store.insert(key, fakeResult("crc", 6.0));
+    {
+        sim::ResultStore store(scratch.str());
+        store.insert(key, fakeResult("crc", 6.0));
+    }
 
+    sim::ResultStore store(scratch.str());
     util::FaultInjector::instance().arm(
-        util::ChaosSpec::parse("seed=1,rate=1,point=serve.store_read"));
+        util::ChaosSpec::parse("seed=1,rate=1,point=store.read"));
     std::string source;
     sim::SimResult result = store.fetchOrCompute(
         key, []() { return fakeResult("crc", 6.0); }, &source);
@@ -368,8 +447,8 @@ TEST(ResultStore, ReadFaultFallsBackToRecomputation)
 TEST(ResultStore, ClearRemovesEverything)
 {
     VerboseScope quiet(false);
-    ScratchStore scratch("cpe_result_store_clear");
-    serve::ResultStore store(scratch.dir.string());
+    ScratchDir scratch("cpe_result_store_clear");
+    sim::ResultStore store(scratch.str());
     store.insert(keyOf(storeConfig("crc")), fakeResult("crc", 1.0));
     store.insert(keyOf(storeConfig("copy")), fakeResult("copy", 2.0));
     EXPECT_EQ(store.entries(), 2u);
@@ -377,6 +456,281 @@ TEST(ResultStore, ClearRemovesEverything)
     EXPECT_EQ(store.entries(), 0u);
     sim::SimResult loaded;
     EXPECT_FALSE(store.lookup(keyOf(storeConfig("crc")), loaded));
+}
+
+TEST(ResultStore, UncreatableDirectoryIsStructuredIoError)
+{
+    EXPECT_THROW(sim::ResultStore("/dev/null/store"), IoError);
+}
+
+TEST(ResultStore, KillAndResumeStitchesByteIdenticalGrid)
+{
+    VerboseScope quiet(false);
+    // Golden: the uninterrupted 2x2 grid, no store anywhere near it.
+    std::vector<sim::SimConfig> configs;
+    for (const char *workload : {"crc", "copy"})
+        for (bool dual : {false, true})
+            configs.push_back(storeConfig(workload, dual));
+    std::string golden =
+        sim::SweepRunner(1).runGrid(configs).toJson().dump(2);
+
+    // "Crash" after K=2 of N=4 runs: only the first two reached the
+    // store; the killed writer left a tmp file and a torn entry.
+    ScratchDir scratch("cpe_result_store_kill");
+    {
+        sim::ResultStore store(scratch.str());
+        for (std::size_t i = 0; i < 2; ++i)
+            store.insert(keyOf(configs[i]), sim::simulate(configs[i]));
+        std::ofstream(store.entryPath(keyOf(configs[2])))
+            << "{\"t\":\"entry\",\"k\":\"";
+        std::ofstream(store.entryPath("0123") + ".tmp.99") << "torn";
+    }
+
+    // Resume: the stored pair comes back without simulating, the other
+    // pair runs, and the stitched grid matches the golden byte for
+    // byte.
+    sim::ResultStore store(scratch.str());
+    EXPECT_FALSE(std::filesystem::exists(store.entryPath("0123") +
+                                         ".tmp.99"))
+        << "orphaned tmp files are swept on open";
+    std::vector<sim::RunOutcome> outcomes;
+    {
+        ActiveScope installed(&store);
+        outcomes = sim::SweepRunner(1).runOutcomes(configs);
+    }
+    ASSERT_EQ(outcomes.size(), 4u);
+    unsigned simulated = 0;
+    sim::ResultGrid grid("IPC");
+    for (const auto &outcome : outcomes) {
+        ASSERT_TRUE(outcome.ok());
+        simulated += outcome.attempts > 0;
+        grid.add(outcome.result);
+    }
+    EXPECT_EQ(simulated, 2u) << "exactly N-K simulations";
+    EXPECT_EQ(grid.toJson().dump(2), golden);
+
+    // The fresh runs were stored in turn: a second resume simulates
+    // nothing.
+    EXPECT_EQ(store.entries(), 4u);
+    sim::ResultStore again(scratch.str());
+    ActiveScope installed(&again);
+    for (const auto &outcome : sim::SweepRunner(1).runOutcomes(configs))
+        EXPECT_EQ(outcome.attempts, 0u);
+}
+
+TEST(ResultStore, ParallelDuplicateSweepSimulatesEachMachineOnce)
+{
+    VerboseScope quiet(false);
+    // Four distinct machines, each requested under three labels and
+    // interleaved, so parallel workers race for the same keys.
+    std::vector<sim::SimConfig> configs;
+    for (const char *label : {"a", "b", "c"})
+        for (const char *workload : {"crc", "copy"})
+            for (bool dual : {false, true}) {
+                configs.push_back(storeConfig(workload, dual));
+                configs.back().label =
+                    std::string(label) + (dual ? "-dual" : "-techniques");
+            }
+    // One plain simulation per distinct machine, tag blanked.
+    auto untagged = [](sim::SimResult result) {
+        result.configTag.clear();
+        return dumpOf(result);
+    };
+    std::map<std::string, std::string> reference;
+    for (const auto &config : configs)
+        if (!reference.count(keyOf(config)))
+            reference[keyOf(config)] = untagged(sim::simulate(config));
+
+    sim::ResultStore store;
+    std::vector<sim::RunOutcome> outcomes;
+    {
+        ActiveScope installed(&store);
+        outcomes = sim::SweepRunner(4).runOutcomes(configs);
+    }
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        ASSERT_TRUE(outcomes[i].ok());
+        EXPECT_EQ(outcomes[i].result.configTag, configs[i].label)
+            << "a reused result carries the requesting label";
+        EXPECT_EQ(untagged(outcomes[i].result), reference[keyOf(configs[i])])
+            << configs[i].label;
+    }
+    EXPECT_EQ(store.stats().fetches, configs.size());
+    EXPECT_EQ(store.stats().computes, 4u);
+}
+
+// ---------------------------------------------------------------------
+// The memo cpe_eval installs.
+
+/** Run evalMain over @p args; @return (exit code, captured stderr). */
+std::pair<int, std::string>
+evalCapturing(std::vector<std::string> args)
+{
+    args.insert(args.begin(), "cpe_eval");
+    std::vector<char *> argv;
+    for (auto &arg : args)
+        argv.push_back(arg.data());
+    testing::internal::CaptureStdout();
+    testing::internal::CaptureStderr();
+    int rc = exp::evalMain(static_cast<int>(argv.size()), argv.data());
+    std::string err = testing::internal::GetCapturedStderr();
+    testing::internal::GetCapturedStdout();
+    return {rc, err};
+}
+
+/** @p id's results document from @p dir, minus the grids' replay
+ *  accounting (which a memo hit legitimately changes). */
+std::string
+docWithoutReplay(const std::filesystem::path &dir, const std::string &id)
+{
+    std::ifstream in(dir / (id + ".json"));
+    std::stringstream text;
+    text << in.rdbuf();
+    Json doc = Json::parse(text.str(), id);
+    Json grids = Json::object();
+    for (const auto &[key, grid] : doc.at("grids").members()) {
+        Json kept = Json::object();
+        for (const auto &[member, value] : grid.members())
+            if (member != "replay")
+                kept[member] = value;
+        grids[key] = std::move(kept);
+    }
+    doc["grids"] = std::move(grids);
+    return doc.dump(2);
+}
+
+/** Run records across every grid of @p id's document in @p dir. */
+std::size_t
+runRecords(const std::filesystem::path &dir, const std::string &id)
+{
+    std::ifstream in(dir / (id + ".json"));
+    std::stringstream text;
+    text << in.rdbuf();
+    Json doc = Json::parse(text.str(), id);
+    std::size_t runs = 0;
+    for (const auto &[key, grid] : doc.at("grids").members())
+        runs += grid.at("runs").items().size();
+    return runs;
+}
+
+TEST(EvalMemo, CombinedRunMatchesSeparateRunsAndSimulatesEachMachineOnce)
+{
+    VerboseScope quiet(false);
+    ScratchDir scratch("cpe_eval_memo");
+    const std::vector<std::string> ids = {"F1", "F5", "F7"};
+
+    // One invocation, every experiment, through an entry directory:
+    // the directory ends up with exactly one file per distinct key.
+    auto [rc, err] = evalCapturing(
+        {"--run", "F1,F5,F7", "--workloads", "copy", "--out",
+         (scratch.dir / "combined").string(), "--store",
+         (scratch.dir / "store").string()});
+    ASSERT_EQ(rc, 0) << err;
+    std::size_t requested = 0;
+    for (const auto &id : ids)
+        requested += runRecords(scratch.dir / "combined", id);
+    sim::ResultStore store((scratch.dir / "store").string());
+    const std::size_t distinct = store.entries();
+    EXPECT_LT(distinct, requested) << "the experiments share machines";
+    EXPECT_NE(err.find("store: " + std::to_string(requested) +
+                       " run(s), " + std::to_string(distinct) +
+                       " simulated"),
+              std::string::npos)
+        << err;
+
+    // Each experiment on its own renders the same run records.
+    for (const auto &id : ids) {
+        auto separate = scratch.dir / ("separate-" + id);
+        auto [one_rc, one_err] = evalCapturing(
+            {"--run", id, "--workloads", "copy", "--out",
+             separate.string()});
+        ASSERT_EQ(one_rc, 0) << one_err;
+        EXPECT_EQ(docWithoutReplay(scratch.dir / "combined", id),
+                  docWithoutReplay(separate, id))
+            << id;
+    }
+}
+
+TEST(EvalMemo, TracedRunsBypassTheStore)
+{
+    VerboseScope quiet(false);
+    ScratchDir scratch("cpe_eval_memo_trace");
+    std::filesystem::create_directories(scratch.dir);
+    const std::string trace = (scratch.dir / "trace.jsonl").string();
+    auto [rc, err] =
+        evalCapturing({"--run", "F1,F5", "--workloads", "copy", "--trace",
+                       trace, "--out", (scratch.dir / "docs").string()});
+    ASSERT_EQ(rc, 0) << err;
+
+    // Every requested run simulated and wrote its own events, even the
+    // machines F1 and F5 share.
+    std::size_t run_begins = 0;
+    std::ifstream in(trace);
+    for (std::string line; std::getline(in, line);)
+        run_begins += line.find("\"run_begin\"") != std::string::npos;
+    EXPECT_EQ(run_begins, runRecords(scratch.dir / "docs", "F1") +
+                              runRecords(scratch.dir / "docs", "F5"));
+    EXPECT_EQ(err.find("store:"), std::string::npos)
+        << "no run consulted the store: " << err;
+}
+
+// ---------------------------------------------------------------------
+// The version guard that makes an on-disk store safe across modeling
+// changes.
+
+std::uint64_t
+fnv1a64(const std::string &text)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (char c : text) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
+TEST(SimVersion, ResultsMoveOnlyWithAVersionBump)
+{
+    VerboseScope quiet(false);
+    const exp::Experiment &f5 =
+        exp::ExperimentRegistry::instance().get("F5");
+    std::string rendered;
+    for (const auto &result : sim::SweepRunner(0).run(
+             exp::suiteConfigs(f5.variants(), {"copy", "crc"})))
+        rendered += sim::resultToJson(result).dump() + "\n";
+    char digest[17];
+    std::snprintf(digest, sizeof(digest), "%016llx",
+                  static_cast<unsigned long long>(fnv1a64(rendered)));
+
+    Json doc = Json::object();
+    doc["grid"] = "F5 on copy,crc: fnv1a64 of resultToJson per run";
+    doc["simulator_version"] = sim::simulatorVersion();
+    doc["digest"] = std::string(digest);
+    const std::string path =
+        std::string(CPE_GOLDEN_DIR) + "/sim_version.json";
+    if (std::getenv("CPE_REGEN_GOLDEN")) {
+        std::ofstream out(path);
+        ASSERT_TRUE(out) << "cannot write " << path;
+        out << doc.dump(2) << "\n";
+        GTEST_SKIP() << "regenerated " << path;
+    }
+
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << "missing golden file " << path
+                    << " (generate with CPE_REGEN_GOLDEN=1)";
+    std::stringstream text;
+    text << in.rdbuf();
+    Json golden = Json::parse(text.str(), path);
+    const std::string pinned =
+        golden.at("simulator_version", path).asString();
+    if (pinned != sim::simulatorVersion())
+        FAIL() << "simulatorVersion() moved from " << pinned << " to "
+               << sim::simulatorVersion() << ": regenerate " << path
+               << " with CPE_REGEN_GOLDEN=1";
+    EXPECT_EQ(golden.at("digest", path).asString(), digest)
+        << "simulated results changed but simulatorVersion() did not: "
+           "bump simulatorVersion() (src/sim/simulator.cc) so stored "
+           "results go stale, then regenerate "
+        << path << " with CPE_REGEN_GOLDEN=1";
 }
 
 } // namespace
