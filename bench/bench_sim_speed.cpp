@@ -61,10 +61,33 @@ BM_TimingSinglePort(benchmark::State &state)
 }
 BENCHMARK(BM_TimingSinglePort)->Unit(benchmark::kMillisecond);
 
+/**
+ * Also reports the window bookkeeping's deterministic work counters
+ * per committed instruction, from one untimed run of the same machine:
+ * ROB producer lookups (dispatch-time operand resolution, store commit
+ * and store-to-load forwarding) and issue-queue entries visited by
+ * select.  They prove an algorithmic change independently of timer
+ * noise.
+ */
 void
 BM_TimingAllTechniques(benchmark::State &state)
 {
-    timingRun(state, core::PortTechConfig::singlePortAllTechniques());
+    core::PortTechConfig tech =
+        core::PortTechConfig::singlePortAllTechniques();
+    timingRun(state, tech);
+
+    sim::SimConfig config = sim::SimConfig::defaults();
+    config.core.dcache.tech = tech;
+    func::Executor executor(workload::WorkloadRegistry::instance().build(
+        "crc", config.workload));
+    mem::MemHierarchy hierarchy(config.l2, config.dram);
+    cpu::OooCore core(config.core, &executor, &hierarchy);
+    core.run();
+    auto insts = static_cast<double>(core.committedInsts());
+    state.counters["rob_lookups_per_inst"] =
+        static_cast<double>(core.rob().producerLookups()) / insts;
+    state.counters["iq_visits_per_inst"] =
+        static_cast<double>(core.issueQueue().selectVisits()) / insts;
 }
 BENCHMARK(BM_TimingAllTechniques)->Unit(benchmark::kMillisecond);
 

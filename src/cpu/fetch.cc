@@ -8,7 +8,8 @@ namespace cpe::cpu {
 FetchUnit::FetchUnit(const FetchParams &params, func::TraceSource *trace,
                      BranchPredictor *bpred, mem::MemHierarchy *next_level)
     : params_(params), trace_(trace), bpred_(bpred),
-      icache_(params.icache), nextLevel_(next_level), statGroup_("fetch")
+      icache_(params.icache), nextLevel_(next_level),
+      queue_(params.queueCapacity), statGroup_("fetch")
 {
     CPE_ASSERT(trace_ && bpred_ && nextLevel_, "fetch wiring incomplete");
     statGroup_.addChild(&icache_.statGroup());
@@ -53,8 +54,8 @@ FetchUnit::squashAndDrain(std::vector<func::DynInst> &pending)
 {
     // Stream order: the queue's records are older than the fill
     // buffer's remnant.
-    for (const TimingInst &inst : queue_)
-        pending.push_back(inst.di);
+    for (std::size_t i = 0; i < queue_.size(); ++i)
+        pending.push_back(queue_[i].di);
     queue_.clear();
     for (std::size_t i = bufPos_; i < bufLen_; ++i)
         pending.push_back(buffer_[i]);
@@ -112,7 +113,7 @@ FetchUnit::tick(Cycle now)
 
     unsigned fetched = 0;
     while (fetched < params_.fetchWidth) {
-        if (queue_.size() >= params_.queueCapacity) {
+        if (queue_.full()) {
             ++queueFullBreaks;
             break;
         }
@@ -138,7 +139,7 @@ FetchUnit::tick(Cycle now)
             currentLine_ = line;
         }
 
-        TimingInst inst;
+        TimingInst &inst = queue_.emplace_back();
         inst.di = record;
         inst.fetchCycle = now;
         ++bufPos_;  // record stays valid: refills happen only in peek()
@@ -175,7 +176,6 @@ FetchUnit::tick(Cycle now)
                 }
                 inst.mispredicted = true;
             }
-            queue_.push_back(inst);
             if (!ok) {
                 // Freeze on the wrong path until resolution, noting
                 // where the (wrong) predicted path begins.
@@ -196,7 +196,6 @@ FetchUnit::tick(Cycle now)
             continue;
         }
 
-        queue_.push_back(inst);
         if (record.inst.op == isa::Opcode::HALT)
             break;
     }

@@ -7,17 +7,21 @@
  * freezes — the wrong path is not simulated — and resumes a configured
  * redirect penalty after the branch resolves, which is the standard
  * trace-driven treatment.
+ *
+ * The fetch queue is a fixed ring of queueCapacity slots: fetch builds
+ * each TimingInst in its slot, and dispatch copies it from there into
+ * the reorder buffer, so the front end never allocates.
  */
 
 #ifndef CPE_CPU_FETCH_HH
 #define CPE_CPU_FETCH_HH
 
 #include <array>
-#include <deque>
 #include <vector>
 
 #include "cpu/branch_predictor.hh"
 #include "cpu/pipeline_types.hh"
+#include "cpu/ring.hh"
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
 
@@ -54,7 +58,7 @@ class FetchUnit
     void tick(Cycle now);
 
     /** Instructions awaiting rename (rename pops from the front). */
-    std::deque<TimingInst> &queue() { return queue_; }
+    Ring<TimingInst> &queue() { return queue_; }
 
     /**
      * A mispredicted control instruction resolved; fetch resumes at
@@ -112,7 +116,7 @@ class FetchUnit
     mem::Cache icache_;
     mem::MemHierarchy *nextLevel_;
 
-    std::deque<TimingInst> queue_;
+    Ring<TimingInst> queue_;
 
     /**
      * Block-consumption buffer: the front end pulls committed-path

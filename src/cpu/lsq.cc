@@ -1,7 +1,5 @@
 #include "cpu/lsq.hh"
 
-#include <algorithm>
-
 #include "util/logging.hh"
 
 namespace cpe::cpu {
@@ -24,7 +22,9 @@ contains(Addr outer, unsigned on, Addr inner, unsigned in_)
 
 } // namespace
 
-Lsq::Lsq(const LsqParams &params) : params_(params), statGroup_("lsq")
+Lsq::Lsq(const LsqParams &params)
+    : loadQueue_(params.loadEntries), storeQueue_(params.storeEntries),
+      statGroup_("lsq")
 {
     statGroup_.addScalar("forwards", &lsqForwards,
                          "loads forwarded from the store queue");
@@ -39,22 +39,17 @@ Lsq::Lsq(const LsqParams &params) : params_(params), statGroup_("lsq")
 bool
 Lsq::canDispatch(bool is_store) const
 {
-    if (is_store)
-        return storeQueue_.size() < params_.storeEntries;
-    return loadQueue_.size() < params_.loadEntries;
+    return is_store ? !storeQueue_.full() : !loadQueue_.full();
 }
 
 void
 Lsq::dispatch(TimingInst *inst)
 {
     CPE_ASSERT(inst->di.isMem(), "non-memory op dispatched to LSQ");
-    if (inst->isStore()) {
-        CPE_ASSERT(storeQueue_.size() < params_.storeEntries, "SQ full");
+    if (inst->isStore())
         storeQueue_.push_back(inst);
-    } else {
-        CPE_ASSERT(loadQueue_.size() < params_.loadEntries, "LQ full");
+    else
         loadQueue_.push_back(inst);
-    }
 }
 
 bool
@@ -66,7 +61,8 @@ Lsq::tryIssueLoad(TimingInst *inst, core::DCacheUnit &dcache,
 
     // Conservative disambiguation: every older store must have its
     // address (i.e. have issued through the AGU).
-    for (const TimingInst *store : storeQueue_) {
+    for (std::size_t i = 0; i < storeQueue_.size(); ++i) {
+        const TimingInst *store = storeQueue_[i];
         if (store->di.seq >= inst->di.seq)
             break;
         if (!store->issued) {
@@ -76,8 +72,8 @@ Lsq::tryIssueLoad(TimingInst *inst, core::DCacheUnit &dcache,
     }
 
     // Youngest-first scan for the forwarding source.
-    for (auto it = storeQueue_.rbegin(); it != storeQueue_.rend(); ++it) {
-        const TimingInst *store = *it;
+    for (std::size_t i = storeQueue_.size(); i-- > 0;) {
+        const TimingInst *store = storeQueue_[i];
         if (store->di.seq >= inst->di.seq)
             continue;
         if (!overlaps(store->di.memAddr, store->di.memSize, addr, size))

@@ -16,10 +16,9 @@
 #ifndef CPE_CPU_LSQ_HH
 #define CPE_CPU_LSQ_HH
 
-#include <deque>
-
 #include "core/dcache_unit.hh"
 #include "cpu/pipeline_types.hh"
+#include "cpu/ring.hh"
 #include "cpu/rob.hh"
 #include "stats/stats.hh"
 
@@ -79,9 +78,8 @@ class Lsq
     stats::Scalar dispatchStalls;    ///< LSQ full at dispatch
 
   private:
-    LsqParams params_;
-    std::deque<TimingInst *> loadQueue_;   ///< program order
-    std::deque<TimingInst *> storeQueue_;  ///< program order
+    Ring<TimingInst *> loadQueue_;   ///< program order
+    Ring<TimingInst *> storeQueue_;  ///< program order
     stats::StatGroup statGroup_;
 };
 

@@ -184,50 +184,27 @@ OooCore::commit(Cycle now)
 void
 OooCore::issue(Cycle now)
 {
-    unsigned issued = 0;
-    for (TimingInst *inst : iq_.entries()) {
-        if (issued >= params_.issueWidth)
-            break;
-        if (inst->issued)
-            continue;
-
-        // Stores need only their address operand to issue the AGU;
-        // everything else waits for all sources.
-        bool ready = true;
-        unsigned needed_srcs = inst->isStore() ? 1 : MaxSrcs;
-        for (unsigned i = 0; i < needed_srcs; ++i) {
-            if (!rob_.producerDone(inst->srcProducer[i], now)) {
-                ready = false;
-                break;
-            }
-        }
-        if (!ready)
-            continue;
-
+    iq_.select(now, params_.issueWidth, [&](TimingInst *inst) {
         isa::InstClass cls = inst->di.cls;
         if (inst->isLoad()) {
             if (!fuPool_.canIssue(cls, now))
-                continue;
+                return false;
             if (!lsq_.tryIssueLoad(inst, dcache_, rob_, now))
-                continue;  // structural/ordering reject: retry
+                return false;  // structural/ordering reject: retry
             Cycle agu_done = fuPool_.tryIssue(cls, now);
             CPE_ASSERT(agu_done != 0, "AGU vanished between check/issue");
-            inst->issued = true;
-            inst->issueCycle = now;
-            inst->done = true;  // completes at doneCycle set by the LSQ
+            // Completes at the doneCycle the LSQ set.
             loadLatency.sample(
                 static_cast<std::int64_t>(inst->doneCycle - now));
-            ++issued;
         } else {
             Cycle done = fuPool_.tryIssue(cls, now);
             if (!done)
-                continue;
-            inst->issued = true;
-            inst->issueCycle = now;
-            inst->done = true;
+                return false;
             inst->doneCycle = done;
-            ++issued;
         }
+        inst->issued = true;
+        inst->issueCycle = now;
+        inst->done = true;
 
         // A mispredicted control op resolving un-freezes the front end
         // after the redirect penalty.
@@ -236,8 +213,8 @@ OooCore::issue(Cycle now)
                                  inst->doneCycle +
                                      params_.fetch.redirectPenalty);
         }
-    }
-    iq_.removeIssued();
+        return true;
+    });
 }
 
 void
@@ -279,7 +256,7 @@ OooCore::dispatch(Cycle now)
             inst->doneCycle = now;
             continue;
         }
-        iq_.add(inst);
+        iq_.add(inst, rob_);
         if (is_mem)
             lsq_.dispatch(inst);
     }
@@ -461,8 +438,9 @@ OooCore::resumeMeasurement(Cycle now)
 void
 OooCore::extractPending(std::vector<func::DynInst> &pending)
 {
-    for (TimingInst &inst : rob_.window())
-        pending.push_back(inst.di);
+    const auto &window = rob_.window();
+    for (std::size_t i = 0; i < window.size(); ++i)
+        pending.push_back(window[i].di);
     rob_.clear();
     iq_.clear();
     lsq_.clear();

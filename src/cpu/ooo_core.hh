@@ -245,6 +245,7 @@ class OooCore
     FetchUnit &fetch() { return fetch_; }
     Lsq &lsq() { return lsq_; }
     Rob &rob() { return rob_; }
+    IssueQueue &issueQueue() { return iq_; }
     BranchPredictor &predictor() { return bpred_; }
     FuPool &fuPool() { return fuPool_; }
 

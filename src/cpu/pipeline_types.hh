@@ -46,6 +46,24 @@ struct TimingInst
      */
     SeqNum srcProducer[MaxSrcs] = {0, 0};
 
+    /**
+     * Wakeup state, kept by the issue queue from dispatch to issue.
+     * Select takes the instruction once pendingSrcs == 0 and
+     * readyAt <= now: readyAt is the latest doneCycle of its issued
+     * producers, pendingSrcs the number still to issue.
+     */
+    Cycle readyAt = 0;
+    unsigned pendingSrcs = 0;
+
+    /**
+     * Intrusive list of the consumers waiting for this instruction to
+     * issue: the head is firstWaiter, and a consumer linked through its
+     * source slot i continues in nextWaiter[i].  A consumer reading one
+     * producer twice is linked once, through slot 0.
+     */
+    TimingInst *firstWaiter = nullptr;
+    TimingInst *nextWaiter[MaxSrcs] = {nullptr, nullptr};
+
     /** Fetch compared prediction with the trace: this one was wrong. */
     bool mispredicted = false;
 

@@ -4,9 +4,8 @@
 
 namespace cpe::cpu {
 
-Rob::Rob(std::size_t capacity) : capacity_(capacity), statGroup_("rob")
+Rob::Rob(std::size_t capacity) : window_(capacity), statGroup_("rob")
 {
-    CPE_ASSERT(capacity >= 1, "ROB needs at least one entry");
     statGroup_.addScalar("dispatched", &dispatched,
                          "instructions entering the window");
     statGroup_.addScalar("committed", &committed,
@@ -19,37 +18,27 @@ TimingInst *
 Rob::push(const TimingInst &inst)
 {
     CPE_ASSERT(!full(), "push into a full ROB");
-    window_.push_back(inst);
-    TimingInst *stable = &window_.back();
-    bySeq_.emplace(stable->di.seq, stable);
+    SeqNum seq = inst.di.seq;
+    if (!anchored_) {
+        CPE_ASSERT(seq != 0, "sequence number 0 means 'no producer'");
+        headSeq_ = seq;
+        anchored_ = true;
+    }
+    CPE_ASSERT(seq == headSeq_ + size(),
+               "non-contiguous dispatch: seq " << seq << " after "
+                   << headSeq_ + size() - 1);
+    TimingInst *stable = &window_.push_back(inst);
     ++dispatched;
     return stable;
-}
-
-TimingInst *
-Rob::head()
-{
-    return window_.empty() ? nullptr : &window_.front();
 }
 
 void
 Rob::popHead()
 {
-    CPE_ASSERT(!window_.empty(), "popHead on empty ROB");
-    bySeq_.erase(window_.front().di.seq);
+    CPE_ASSERT(!empty(), "popHead on empty ROB");
     window_.pop_front();
+    ++headSeq_;
     ++committed;
-}
-
-bool
-Rob::producerDone(SeqNum seq, Cycle now) const
-{
-    if (seq == 0)
-        return true;
-    auto it = bySeq_.find(seq);
-    if (it == bySeq_.end())
-        return true;  // committed already
-    return it->second->done && it->second->doneCycle <= now;
 }
 
 } // namespace cpe::cpu

@@ -1,20 +1,25 @@
 /**
  * @file
  * Reorder buffer: owns every in-flight TimingInst, provides in-order
- * commit, and indexes producers by sequence number for wakeup checks.
+ * commit, and finds producers by sequence number.
  *
- * std::deque guarantees reference stability for push_back/pop_front,
- * so raw TimingInst pointers handed to the issue queue and LSQ remain
- * valid for an instruction's whole window lifetime.
+ * The window is a fixed ring of `capacity` slots.  Dispatch is in
+ * stream order, so the window holds a seq-contiguous run and the
+ * instruction with sequence number s sits at ring index s - headSeq:
+ * lookup is a subtract and a compare, and "already committed" is
+ * s < headSeq.  A slot is reused only after its instruction commits,
+ * so the raw TimingInst pointers handed to the issue queue and LSQ
+ * stay valid for the instruction's whole window lifetime.
  */
 
 #ifndef CPE_CPU_ROB_HH
 #define CPE_CPU_ROB_HH
 
-#include <deque>
-#include <unordered_map>
+#include <cstdint>
+#include <utility>
 
 #include "cpu/pipeline_types.hh"
+#include "cpu/ring.hh"
 #include "stats/stats.hh"
 
 namespace cpe::cpu {
@@ -25,38 +30,71 @@ class Rob
   public:
     explicit Rob(std::size_t capacity);
 
-    bool full() const { return window_.size() >= capacity_; }
+    bool full() const { return window_.full(); }
     bool empty() const { return window_.empty(); }
     std::size_t size() const { return window_.size(); }
-    std::size_t capacity() const { return capacity_; }
+    std::size_t capacity() const { return window_.capacity(); }
 
-    /** Insert at the tail (dispatch); @return the stable pointer. */
+    /**
+     * Insert at the tail (dispatch); @return the stable pointer.  The
+     * sequence number must follow the tail's (panics otherwise),
+     * except on the first push after construction or clear(), which
+     * anchors the window at any nonzero sequence number.
+     */
     TimingInst *push(const TimingInst &inst);
 
     /** Oldest in-flight instruction, or nullptr. */
-    TimingInst *head();
+    TimingInst *head() { return empty() ? nullptr : &window_.front(); }
 
     /** Remove the head (commit). */
     void popHead();
 
     /**
-     * Is the producer with sequence @p seq complete by @p now?
-     * Producers that already committed (absent from the index) count
-     * as complete.
+     * The in-flight instruction with sequence number @p seq, or
+     * nullptr when it is not in the window: already committed, not
+     * yet dispatched, or 0 (no producer).  Counts one producer lookup.
      */
-    bool producerDone(SeqNum seq, Cycle now) const;
+    const TimingInst *
+    find(SeqNum seq) const
+    {
+        ++producerLookups_;
+        // Unsigned: a committed seq (below headSeq_) wraps past size().
+        std::uint64_t offset = seq - headSeq_;
+        return offset < window_.size() ? &window_[offset] : nullptr;
+    }
+    TimingInst *
+    find(SeqNum seq)
+    {
+        return const_cast<TimingInst *>(std::as_const(*this).find(seq));
+    }
 
-    /** Iterate the window oldest-first (issue-queue scans). */
-    std::deque<TimingInst> &window() { return window_; }
+    /**
+     * Is the producer with sequence @p seq complete by @p now?
+     * Producers outside the window (committed, or 0) count as
+     * complete.
+     */
+    bool
+    producerDone(SeqNum seq, Cycle now) const
+    {
+        const TimingInst *producer = find(seq);
+        return !producer || (producer->done && producer->doneCycle <= now);
+    }
+
+    /** The window oldest-first (index 0 is the head). */
+    const Ring<TimingInst> &window() const { return window_; }
 
     /** Phase-boundary squash: drop every in-flight instruction
-     *  (statistics keep their values). */
+     *  (statistics keep their values); the next push re-anchors. */
     void
     clear()
     {
         window_.clear();
-        bySeq_.clear();
+        anchored_ = false;
     }
+
+    /** find() calls so far — a work counter, outside the StatGroup
+     *  (never reset, never dumped). */
+    std::uint64_t producerLookups() const { return producerLookups_; }
 
     stats::StatGroup &statGroup() { return statGroup_; }
 
@@ -65,9 +103,10 @@ class Rob
     stats::Scalar fullStalls;  ///< dispatch attempts with a full ROB
 
   private:
-    std::size_t capacity_;
-    std::deque<TimingInst> window_;
-    std::unordered_map<SeqNum, const TimingInst *> bySeq_;
+    Ring<TimingInst> window_;
+    SeqNum headSeq_ = 0;   ///< sequence number of the head slot
+    bool anchored_ = false;
+    mutable std::uint64_t producerLookups_ = 0;
     stats::StatGroup statGroup_;
 };
 

@@ -764,8 +764,10 @@ checkExperiment(const std::string &id, const Json &baseline,
 
 namespace {
 
-/** Clears, on every exit path, the process-wide hooks evalMain points
- *  at its own locals: the trace sink, trace cache, and result store. */
+/** Clears, on every exit path, the process-wide hooks evalMain
+ *  installs: the trace sink, trace cache, and result store it points
+ *  at its own locals, and the sampling parameters (which would
+ *  otherwise turn later in-process sweeps into sampled ones). */
 struct HookReset
 {
     HookReset() = default;
@@ -773,6 +775,7 @@ struct HookReset
     {
         setObservability(nullptr, 0, 0);
         setTraceCache(nullptr);
+        setSampling(sim::SampleParams{});
         sim::ResultStore::setActive(nullptr);
     }
     HookReset(const HookReset &) = delete;

@@ -159,10 +159,16 @@ suiteConfigs(const std::vector<Variant> &variants,
             config.label = variant.label;
             if (variant.tweak)
                 variant.tweak(config);
-            if (obsSink)
-                config.obs.traceSink = obsSink;
-            if (obsSampleCycles)
-                config.obs.sampleCycles = obsSampleCycles;
+            // Event traces and interval timeseries need a full-detail
+            // run: a variant that samples by design (F13's) runs
+            // without them.  The global --sample-mode comes after, so
+            // combining it with --trace still fails validation.
+            if (!config.sample.enabled()) {
+                if (obsSink)
+                    config.obs.traceSink = obsSink;
+                if (obsSampleCycles)
+                    config.obs.sampleCycles = obsSampleCycles;
+            }
             if (obsProfileTop)
                 config.obs.profileTop = obsProfileTop;
             if (sampleParams.enabled())

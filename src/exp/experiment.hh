@@ -64,13 +64,14 @@ void setFaultInjection(
     std::vector<std::pair<std::string, std::string>> plan);
 
 /**
- * Observability hook (cpe_eval --trace / --sample-cycles): every
- * config built by suiteConfigs() gets this trace sink (shareable
+ * Observability hook (cpe_eval --trace / --sample-cycles /
+ * --profile[=N]).  Every config built by suiteConfigs() whose variant
+ * leaves sampled simulation off gets this trace sink (shareable
  * across the sweep workers — each run claims its own run id) and
- * sampling interval, and — with @p profile_top nonzero (cpe_eval
- * --profile[=N]) — stall-attribution profiling with top-N reporting.
- * Pass (nullptr, 0, 0) to clear.  Like the fault plan, set before a
- * sweep starts, never during one.
+ * interval-sampling period, which both need a full-detail run; with
+ * @p profile_top nonzero every config also gets stall-attribution
+ * profiling with top-N reporting.  Pass (nullptr, 0, 0) to clear.
+ * Like the fault plan, set before a sweep starts, never during one.
  */
 void setObservability(obs::TraceSink *sink, Cycle sample_cycles,
                       unsigned profile_top = 0);

@@ -120,6 +120,16 @@ SimConfig::validate() const
         bad("bpred.btb_entries", "must be a power of two, got " +
                                      std::to_string(
                                          core.bpred.btbEntries));
+    if (core.bpred.btbAssoc == 0 ||
+        core.bpred.btbEntries % core.bpred.btbAssoc != 0)
+        bad("bpred.btb_assoc", "must divide btb_entries " +
+                                   std::to_string(core.bpred.btbEntries) +
+                                   ", got " +
+                                   std::to_string(core.bpred.btbAssoc));
+    if (!isPowerOf2(core.bpred.localHistories))
+        bad("bpred.local_histories",
+            "must be a power of two, got " +
+                std::to_string(core.bpred.localHistories));
 
     // Cache geometries (what mem::Cache's constructor would panic on).
     validateCacheGeometry("l1d", core.dcache.cache, out);
@@ -146,7 +156,7 @@ SimConfig::validate() const
     if (t.banks == 0 || !isPowerOf2(t.banks))
         bad("tech.banks", "bank count must be a nonzero power of two, "
                           "got " + std::to_string(t.banks));
-    if (t.banks > 1 && !isPowerOf2(t.bankInterleaveBytes))
+    if (!isPowerOf2(t.bankInterleaveBytes))
         bad("tech.bank_interleave",
             "bank interleave must be a power of two, got " +
                 std::to_string(t.bankInterleaveBytes));

@@ -8,6 +8,7 @@
 #include <functional>
 #include <map>
 #include <sstream>
+#include <utility>
 
 namespace cpe::sim {
 
@@ -83,9 +84,9 @@ using Setter =
     std::function<bool(Ctx &, const std::string &value)>;
 
 /** Helper: numeric setter into any integral field. */
-template <typename T>
+template <typename T, typename Field>
 Setter
-num(T *(*field)(SimConfig &))
+num(Field field)
 {
     return [field](Ctx &ctx, const std::string &value) {
         std::uint64_t parsed;
@@ -97,8 +98,9 @@ num(T *(*field)(SimConfig &))
 }
 
 /** Helper: boolean setter. */
+template <typename Field>
 Setter
-boolean(bool *(*field)(SimConfig &))
+boolean(Field field)
 {
     return [field](Ctx &ctx, const std::string &value) {
         bool parsed;
@@ -111,6 +113,37 @@ boolean(bool *(*field)(SimConfig &))
 
 #define FIELD(type, expr)                                                  \
     [](SimConfig &c) -> type * { return &(expr); }
+
+/** The functional-unit classes, in machine-file order. */
+constexpr std::pair<const char *, cpu::FuDesc cpu::FuPoolParams::*>
+    FuClasses[] = {
+        {"int_alu", &cpu::FuPoolParams::intAlu},
+        {"int_mul", &cpu::FuPoolParams::intMul},
+        {"int_div", &cpu::FuPoolParams::intDiv},
+        {"fp_add", &cpu::FuPoolParams::fpAdd},
+        {"fp_mul", &cpu::FuPoolParams::fpMul},
+        {"fp_div", &cpu::FuPoolParams::fpDiv},
+        {"mem_agu", &cpu::FuPoolParams::memAgu},
+};
+
+/** [fu]: `<class>`, `<class>_latency` and `<class>_pipelined` keys. */
+std::map<std::string, Setter>
+fuKeys()
+{
+    std::map<std::string, Setter> keys;
+    for (const auto &[name, unit] : FuClasses) {
+        auto desc = [unit](SimConfig &c) -> cpu::FuDesc & {
+            return c.core.fu.*unit;
+        };
+        keys[name] = num<unsigned>(
+            [desc](SimConfig &c) { return &desc(c).count; });
+        keys[std::string(name) + "_latency"] = num<unsigned>(
+            [desc](SimConfig &c) { return &desc(c).latency; });
+        keys[std::string(name) + "_pipelined"] =
+            boolean([desc](SimConfig &c) { return &desc(c).pipelined; });
+    }
+    return keys;
+}
 
 const std::map<std::string, std::map<std::string, Setter>> &
 keyTable()
@@ -173,23 +206,7 @@ keyTable()
                   num<Cycle>(FIELD(Cycle,
                                    c.core.noCommitCycleLimit))},
              }},
-            {"fu",
-             {
-                 {"int_alu",
-                  num<unsigned>(FIELD(unsigned, c.core.fu.intAlu.count))},
-                 {"int_mul",
-                  num<unsigned>(FIELD(unsigned, c.core.fu.intMul.count))},
-                 {"int_div",
-                  num<unsigned>(FIELD(unsigned, c.core.fu.intDiv.count))},
-                 {"fp_add",
-                  num<unsigned>(FIELD(unsigned, c.core.fu.fpAdd.count))},
-                 {"fp_mul",
-                  num<unsigned>(FIELD(unsigned, c.core.fu.fpMul.count))},
-                 {"fp_div",
-                  num<unsigned>(FIELD(unsigned, c.core.fu.fpDiv.count))},
-                 {"mem_agu",
-                  num<unsigned>(FIELD(unsigned, c.core.fu.memAgu.count))},
-             }},
+            {"fu", fuKeys()},
             {"bpred",
              {
                  {"kind",
@@ -217,6 +234,11 @@ keyTable()
                  {"btb_entries",
                   num<std::size_t>(FIELD(std::size_t,
                                          c.core.bpred.btbEntries))},
+                 {"btb_assoc",
+                  num<unsigned>(FIELD(unsigned, c.core.bpred.btbAssoc))},
+                 {"local_histories",
+                  num<std::size_t>(FIELD(std::size_t,
+                                         c.core.bpred.localHistories))},
                  {"ras", num<std::size_t>(FIELD(
                              std::size_t, c.core.bpred.rasEntries))},
              }},
@@ -240,6 +262,9 @@ keyTable()
                                       c.core.dcache.hitLatency))},
                  {"mshrs",
                   num<unsigned>(FIELD(unsigned, c.core.dcache.mshrs))},
+                 {"mshr_targets",
+                  num<unsigned>(FIELD(unsigned,
+                                      c.core.dcache.mshrTargets))},
                  {"victim_entries",
                   num<unsigned>(FIELD(unsigned,
                                       c.core.dcache.victimEntries))},
@@ -271,6 +296,9 @@ keyTable()
                       unsigned, c.core.dcache.tech.portWidthBytes))},
                  {"banks", num<unsigned>(FIELD(
                                unsigned, c.core.dcache.tech.banks))},
+                 {"bank_interleave",
+                  num<unsigned>(FIELD(
+                      unsigned, c.core.dcache.tech.bankInterleaveBytes))},
                  {"store_buffer",
                   num<unsigned>(FIELD(
                       unsigned, c.core.dcache.tech.storeBufferEntries))},
@@ -348,6 +376,8 @@ keyTable()
                   num<unsigned>(FIELD(unsigned, c.l2.cache.assoc))},
                  {"hit_latency",
                   num<unsigned>(FIELD(unsigned, c.l2.hitLatency))},
+                 {"cycles_per_access",
+                  num<unsigned>(FIELD(unsigned, c.l2.cyclesPerAccess))},
              }},
             {"dram",
              {
@@ -528,13 +558,13 @@ toMachineFile(const SimConfig &config)
     out << "no_commit_limit = " << core.noCommitCycleLimit << "\n";
 
     out << "\n[fu]\n";
-    out << "int_alu = " << core.fu.intAlu.count << "\n";
-    out << "int_mul = " << core.fu.intMul.count << "\n";
-    out << "int_div = " << core.fu.intDiv.count << "\n";
-    out << "fp_add = " << core.fu.fpAdd.count << "\n";
-    out << "fp_mul = " << core.fu.fpMul.count << "\n";
-    out << "fp_div = " << core.fu.fpDiv.count << "\n";
-    out << "mem_agu = " << core.fu.memAgu.count << "\n";
+    for (const auto &[name, unit] : FuClasses) {
+        const cpu::FuDesc &desc = core.fu.*unit;
+        out << name << " = " << desc.count << "\n";
+        out << name << "_latency = " << desc.latency << "\n";
+        out << name << "_pipelined = "
+            << (desc.pipelined ? "true" : "false") << "\n";
+    }
 
     out << "\n[bpred]\n";
     const char *kind = "gshare";
@@ -548,6 +578,8 @@ toMachineFile(const SimConfig &config)
     out << "table_entries = " << core.bpred.tableEntries << "\n";
     out << "history_bits = " << core.bpred.historyBits << "\n";
     out << "btb_entries = " << core.bpred.btbEntries << "\n";
+    out << "btb_assoc = " << core.bpred.btbAssoc << "\n";
+    out << "local_histories = " << core.bpred.localHistories << "\n";
     out << "ras = " << core.bpred.rasEntries << "\n";
 
     out << "\n[l1d]\n";
@@ -556,6 +588,7 @@ toMachineFile(const SimConfig &config)
     out << "line = " << core.dcache.cache.lineBytes << "\n";
     out << "hit_latency = " << core.dcache.hitLatency << "\n";
     out << "mshrs = " << core.dcache.mshrs << "\n";
+    out << "mshr_targets = " << core.dcache.mshrTargets << "\n";
     out << "victim_entries = " << core.dcache.victimEntries << "\n";
     out << "prefetch_next_line = "
         << (core.dcache.nextLinePrefetch ? "true" : "false") << "\n";
@@ -569,6 +602,7 @@ toMachineFile(const SimConfig &config)
     out << "ports = " << tech.ports << "\n";
     out << "width = " << tech.portWidthBytes << "\n";
     out << "banks = " << tech.banks << "\n";
+    out << "bank_interleave = " << tech.bankInterleaveBytes << "\n";
     out << "store_buffer = " << tech.storeBufferEntries << "\n";
     out << "combining = " << (tech.storeCombining ? "true" : "false")
         << "\n";
@@ -600,6 +634,7 @@ toMachineFile(const SimConfig &config)
     out << "size_kib = " << config.l2.cache.sizeBytes / 1024 << "\n";
     out << "assoc = " << config.l2.cache.assoc << "\n";
     out << "hit_latency = " << config.l2.hitLatency << "\n";
+    out << "cycles_per_access = " << config.l2.cyclesPerAccess << "\n";
 
     out << "\n[dram]\n";
     out << "latency = " << config.dram.latency << "\n";

@@ -19,22 +19,6 @@ Distribution::init(std::int64_t min, std::int64_t max,
 }
 
 void
-Distribution::sample(std::int64_t value, std::uint64_t count)
-{
-    CPE_ASSERT(!buckets_.empty(), "Distribution::sample before init");
-    samples_ += count;
-    sum_ += static_cast<double>(value) * count;
-    if (value < min_) {
-        underflow_ += count;
-    } else if (value >= max_) {
-        overflow_ += count;
-    } else {
-        buckets_[static_cast<std::size_t>((value - min_) / bucketSize_)] +=
-            count;
-    }
-}
-
-void
 Distribution::reset()
 {
     underflow_ = overflow_ = samples_ = 0;

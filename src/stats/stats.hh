@@ -82,7 +82,22 @@ class Distribution
     /** Configure the histogram range; must be called before sampling. */
     void init(std::int64_t min, std::int64_t max, std::int64_t bucket_size);
 
-    void sample(std::int64_t value, std::uint64_t count = 1);
+    /** Inline: the core samples every cycle and on every load. */
+    void
+    sample(std::int64_t value, std::uint64_t count = 1)
+    {
+        CPE_ASSERT(!buckets_.empty(), "Distribution::sample before init");
+        samples_ += count;
+        sum_ += static_cast<double>(value) * count;
+        if (value < min_) {
+            underflow_ += count;
+        } else if (value >= max_) {
+            overflow_ += count;
+        } else {
+            buckets_[static_cast<std::size_t>((value - min_) /
+                                              bucketSize_)] += count;
+        }
+    }
 
     std::uint64_t totalSamples() const { return samples_; }
     double mean() const { return samples_ ? sum_ / samples_ : 0.0; }

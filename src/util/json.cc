@@ -235,6 +235,9 @@ Json::dump(int indent) const
 {
     std::string out;
     dumpTo(out, indent, 0);
+    // Appending leaves up to ~2x capacity slack, and callers keep
+    // these strings (every SimResult holds several) for a whole sweep.
+    out.shrink_to_fit();
     return out;
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/config_file.hh"
+#include "sim/result_store.hh"
 #include "sim/simulator.hh"
 
 namespace cpe::sim {
@@ -212,10 +213,18 @@ TEST(ConfigFile, SerializationRoundTrips)
     config.tech().banks = 2;
     config.l2.hitLatency = 12;
     config.dram.latency = 70;
+    config.core.fu.intMul.latency = 5;
+    config.core.fu.fpAdd.pipelined = false;
+    config.core.bpred.btbAssoc = 2;
+    config.core.bpred.localHistories = 512;
+    config.core.dcache.mshrTargets = 4;
+    config.tech().bankInterleaveBytes = 32;
+    config.l2.cyclesPerAccess = 2;
 
     std::string text = toMachineFile(config);
     auto parsed = parseConfig(text);
     ASSERT_TRUE(parsed) << parsed.error << "\nfile was:\n" << text;
+    EXPECT_EQ(toMachineFile(parsed.config), text);
 
     auto a = simulate(config);
     auto b = simulate(parsed.config);
@@ -244,6 +253,15 @@ TEST(ConfigFile, SerializationRoundTrips)
     EXPECT_EQ(toMachineFile(wide_parsed.config), wide_text);
     EXPECT_EQ(simulate(wide).cycles, simulate(wide_parsed.config).cycles)
         << wide_text;
+
+    // Two machines that differ only in multiplier latency are two
+    // result-memo entries, not one.
+    SimConfig slow_mul = SimConfig::defaults();
+    slow_mul.workloadName = "matmul";
+    SimConfig fast_mul = slow_mul;
+    fast_mul.core.fu.intMul.latency = 1;
+    EXPECT_NE(ResultStore::keyFor(slow_mul), ResultStore::keyFor(fast_mul));
+    EXPECT_NE(simulate(slow_mul).cycles, simulate(fast_mul).cycles);
 }
 
 TEST(ConfigFile, MissingFileReportsError)

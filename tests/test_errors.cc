@@ -8,6 +8,7 @@
  */
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -18,6 +19,7 @@
 #include "exp/driver.hh"
 #include "exp/experiment.hh"
 #include "exp/registry.hh"
+#include "obs/tracer.hh"
 #include "sim/config.hh"
 #include "sim/result_store.hh"
 #include "sim/simulator.hh"
@@ -93,6 +95,14 @@ TEST(ConfigValidate, CoreAndPredictor)
     config = goodConfig();
     config.core.fetch.fetchWidth = config.core.fetch.queueCapacity + 1;
     EXPECT_TRUE(flags(config, "core.fetch_width"));
+
+    config = goodConfig();
+    config.core.bpred.btbAssoc = 3;  // does not divide 512
+    EXPECT_TRUE(flags(config, "bpred.btb_assoc"));
+
+    config = goodConfig();
+    config.core.bpred.localHistories = 1000;
+    EXPECT_TRUE(flags(config, "bpred.local_histories"));
 }
 
 TEST(ConfigValidate, PortSubsystem)
@@ -116,6 +126,12 @@ TEST(ConfigValidate, PortSubsystem)
     config = goodConfig();
     config.core.dcache.mshrs = 0;
     EXPECT_TRUE(flags(config, "l1d.mshrs"));
+
+    // The D-cache unit requires a power-of-two interleave even when
+    // the array is unbanked.
+    config = goodConfig();
+    config.core.dcache.tech.bankInterleaveBytes = 12;
+    EXPECT_TRUE(flags(config, "tech.bank_interleave"));
 }
 
 TEST(ConfigValidate, RunLengthAndWatchdog)
@@ -421,6 +437,59 @@ TEST(EvalExitCodes, BaselineDriftIsThree)
                         dir.string()}),
               3);
     std::filesystem::remove_all(dir);
+}
+
+TEST(EvalExitCodes, TraceAcrossASampledExperimentIsZero)
+{
+    // F13's sampled column samples by design: the global --trace and
+    // --sample-cycles hooks skip it instead of failing validation.
+    VerboseScope quiet(false);
+    ::setenv("CPESIM_F13_SCALE", "1", 1);
+    int rc = evalWith({"--run", "F5,F13", "--workloads", "copy",
+                       "--trace", "/dev/null", "--sample-cycles", "1000",
+                       "--format", "json"});
+    ::unsetenv("CPESIM_F13_SCALE");
+    EXPECT_EQ(rc, 0);
+}
+
+TEST(EvalExitCodes, TraceWithGlobalSampleModeIsConfigErrorTwo)
+{
+    // A user's own --sample-mode still refuses --trace.
+    EXPECT_EQ(evalWith({"--validate", "--run", "T3", "--workloads", "crc",
+                        "--trace", "/dev/null", "--sample-mode",
+                        "periodic"}),
+              2);
+}
+
+TEST(ObsHooks, SampledVariantsRunWithoutTraceOrIntervalSampling)
+{
+    VerboseScope quiet(false);
+    const auto variants =
+        exp::ExperimentRegistry::instance().get("F13").variants();
+    auto plain = exp::suiteConfigs(variants, {"copy"});
+    obs::CountingTraceSink sink;
+    exp::setObservability(&sink, 1000);
+    auto hooked = exp::suiteConfigs(variants, {"copy"});
+    exp::setObservability(nullptr, 0);
+    ASSERT_EQ(hooked.size(), 2u);
+    ASSERT_FALSE(hooked[0].sample.enabled());
+    ASSERT_TRUE(hooked[1].sample.enabled());
+    EXPECT_EQ(hooked[0].obs.traceSink, &sink);
+    EXPECT_EQ(hooked[0].obs.sampleCycles, 1000u);
+    EXPECT_EQ(hooked[1].obs.traceSink, nullptr);
+    EXPECT_EQ(hooked[1].obs.sampleCycles, 0u);
+
+    for (auto *configs : {&plain, &hooked})
+        for (auto &config : *configs)
+            config.workload.scale = 1;
+    // The full-detail run carries the 1000-cycle timeseries and trace;
+    // the sampled run is exactly the one it would be without hooks
+    // (its per-interval timeseries included).
+    EXPECT_TRUE(sim::simulate(plain[0]).timeseriesJson.empty());
+    EXPECT_FALSE(sim::simulate(hooked[0]).timeseriesJson.empty());
+    EXPECT_GT(sink.bytes(), 0u);
+    EXPECT_EQ(sim::resultToJson(sim::simulate(hooked[1])).dump(),
+              sim::resultToJson(sim::simulate(plain[1])).dump());
 }
 
 } // namespace

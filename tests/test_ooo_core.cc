@@ -14,8 +14,10 @@
 #include <sstream>
 
 #include "cpu/ooo_core.hh"
+#include "exp/registry.hh"
 #include "func/executor.hh"
 #include "prog/builder.hh"
+#include "workload/registry.hh"
 
 namespace cpe::cpu {
 namespace {
@@ -40,6 +42,18 @@ runCore(const Program &program, CoreParams params = CoreParams{})
     OooCore core(params, &executor, &hierarchy);
     Cycle cycles = core.run();
     return {cycles, core.committedInsts(), core.ipc()};
+}
+
+/** The `key=` stage cycle of one pipe-trace line. */
+std::uint64_t
+pipeField(const std::string &line, const std::string &key)
+{
+    std::size_t pos = line.find(" " + key + "=");
+    if (pos == std::string::npos) {
+        ADD_FAILURE() << "no " << key << "= in: " << line;
+        return 0;
+    }
+    return std::strtoull(line.c_str() + pos + key.size() + 2, nullptr, 10);
 }
 
 // Loop-shaped kernels so the I-cache warms after the first iteration
@@ -412,12 +426,7 @@ TEST(Core, PipeTraceRecordsStageTimestamps)
     std::istringstream lines(text);
     std::string line;
     while (std::getline(lines, line)) {
-        auto field = [&](const std::string &key) {
-            std::size_t pos = line.find(key + "=");
-            EXPECT_NE(pos, std::string::npos) << line;
-            return std::strtoull(line.c_str() + pos + key.size() + 1,
-                                 nullptr, 10);
-        };
+        auto field = [&](const char *key) { return pipeField(line, key); };
         std::uint64_t f = field("f"), d = field("d"), i = field("i"),
                       c = field("c"), r = field("r");
         EXPECT_LE(f, d) << line;
@@ -457,6 +466,94 @@ TEST(Core, CommitOrderIsProgramOrder)
         EXPECT_EQ(seq, prev + 1);
         prev = seq;
     }
+}
+
+TEST(Core, DependentIssuesAtItsProducersDoneCycle)
+{
+    // A serial chain of pipelined 3-cycle multiplies: each consumer is
+    // dispatched long before its producer completes and must issue on
+    // exactly the producer's done cycle (or, when dispatch is later,
+    // the cycle after dispatch — issue runs before dispatch).
+    Builder b("mulchain");
+    b.loadImm(s0, 20);
+    b.loadImm(t0, 3);
+    b.loadImm(t1, 5);
+    Label loop = b.here();
+    for (int i = 0; i < 8; ++i)
+        b.mul(t0, t0, t1);
+    b.addi(s0, s0, -1);
+    b.bne(s0, zero, loop);
+    b.halt();
+    Program program = b.build();
+
+    std::ostringstream trace;
+    func::Executor executor(program);
+    mem::MemHierarchy hierarchy(mem::L2Params{}, mem::DramParams{});
+    OooCore core(CoreParams{}, &executor, &hierarchy);
+    core.setPipeTrace(&trace);
+    core.run();
+
+    std::istringstream lines(trace.str());
+    std::string line;
+    std::uint64_t prev_done = 0;
+    unsigned chained = 0;
+    unsigned waited = 0;
+    while (std::getline(lines, line)) {
+        if (line.find("mul ") == std::string::npos)
+            continue;
+        std::uint64_t d = pipeField(line, "d"), i = pipeField(line, "i"),
+                      c = pipeField(line, "c");
+        EXPECT_EQ(c, i + 3) << line;
+        if (prev_done) {
+            EXPECT_EQ(i, std::max(prev_done, d + 1)) << line;
+            ++chained;
+            waited += prev_done > d + 1;
+        }
+        prev_done = c;
+    }
+    EXPECT_EQ(chained, 20u * 8 - 1);
+    EXPECT_GT(waited, chained / 2) << "consumers should mostly wait";
+}
+
+TEST(Core, WorkCountersStayWithinTheWakeupBudget)
+{
+    // Deterministic work counters of the window bookkeeping over the
+    // F5 grid.  Producer lookups happen once per in-window issue
+    // operand at dispatch, plus store commit and store-to-load
+    // forwarding checks — never during select, which would cost one
+    // per queued source per cycle.
+    setVerbose(false);
+    const auto &f5 = exp::ExperimentRegistry::instance().get("F5");
+    const auto &workloads = workload::WorkloadRegistry::instance();
+    std::uint64_t lookups = 0;
+    std::uint64_t visits = 0;
+    std::uint64_t insts = 0;
+    for (const auto &config : exp::suiteConfigs(
+             f5.variants(),
+             workload::WorkloadRegistry::evaluationSuite())) {
+        func::Executor executor(
+            workloads.build(config.workloadName, config.workload));
+        mem::MemHierarchy hierarchy(config.l2, config.dram);
+        OooCore core(config.core, &executor, &hierarchy);
+        core.run();
+        std::uint64_t run_lookups = core.rob().producerLookups();
+        ASSERT_GT(core.committedInsts(), 0u);
+        EXPECT_LE(static_cast<double>(run_lookups) /
+                      static_cast<double>(core.committedInsts()),
+                  2.5)
+            << config.workloadName << " / " << config.label;
+        lookups += run_lookups;
+        visits += core.issueQueue().selectVisits();
+        insts += core.committedInsts();
+    }
+    double lookups_per_inst = static_cast<double>(lookups) / insts;
+    double visits_per_inst = static_cast<double>(visits) / insts;
+    EXPECT_LE(lookups_per_inst, 2.5);
+    // Every instruction but NOP/HALT/mode switches is visited at
+    // least once, on the cycle it issues.
+    EXPECT_GE(visits_per_inst, 0.5);
+    RecordProperty("rob_lookups_per_inst", std::to_string(lookups_per_inst));
+    RecordProperty("iq_visits_per_inst", std::to_string(visits_per_inst));
 }
 
 } // namespace
