@@ -1,15 +1,16 @@
 /**
  * @file
  * Simulator-performance microbenchmarks (google-benchmark): how fast
- * the simulator itself runs — functional execution rate, timing-model
- * rate under the key configurations, and the hot cache-access path in
- * isolation.  Not a paper experiment; a tool for keeping the harness
- * usable as it grows.
+ * the simulator itself runs — functional execution and trace-capture
+ * rates, timing-model rate under the key configurations, and the hot
+ * cache-access path in isolation.  Not a paper experiment; a tool for
+ * keeping the harness usable as it grows.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "core/dcache_unit.hh"
+#include "func/captured_trace.hh"
 #include "func/executor.hh"
 #include "obs/metrics.hh"
 #include "obs/tracer.hh"
@@ -39,6 +40,45 @@ BM_FunctionalExecution(benchmark::State &state)
         static_cast<double>(insts), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_FunctionalExecution)->Unit(benchmark::kMillisecond);
+
+/**
+ * Trace capture at F13's default problem size (compress at scale 8):
+ * the executor writing straight into a CapturedTrace, plus the
+ * warm-command index TraceCache::acquire prebuilds for the default
+ * machine's line geometry.  bytes_per_inst is the capture's resident
+ * size per record, warm_cmd_bytes_per_inst the index's.
+ */
+void
+BM_Capture(benchmark::State &state)
+{
+    setVerbose(false);
+    sim::SimConfig config = sim::SimConfig::defaults();
+    config.workload.scale = 8;
+    auto program = workload::WorkloadRegistry::instance().build(
+        "compress", config.workload);
+    std::uint64_t insts = 0;
+    double bytes_per_inst = 0.0;
+    double cmd_bytes_per_inst = 0.0;
+    for (auto _ : state) {
+        func::Executor executor(program);
+        auto trace = func::CapturedTrace::capture(executor);
+        const func::WarmIndex *index =
+            trace.warmIndex(config.core.fetch.icache.lineBytes,
+                            config.core.dcache.cache.lineBytes);
+        benchmark::DoNotOptimize(index->cmds.data());
+        insts += trace.size();
+        auto records = static_cast<double>(trace.size());
+        bytes_per_inst = static_cast<double>(trace.memoryBytes()) / records;
+        cmd_bytes_per_inst = static_cast<double>(index->cmds.size() *
+                                                 sizeof(func::WarmCmd)) /
+                             records;
+    }
+    state.counters["inst_rate"] = benchmark::Counter(
+        static_cast<double>(insts), benchmark::Counter::kIsRate);
+    state.counters["bytes_per_inst"] = bytes_per_inst;
+    state.counters["warm_cmd_bytes_per_inst"] = cmd_bytes_per_inst;
+}
+BENCHMARK(BM_Capture)->Unit(benchmark::kMillisecond);
 
 void
 timingRun(benchmark::State &state, const core::PortTechConfig &tech)

@@ -120,9 +120,10 @@ class FetchUnit
 
     /**
      * Block-consumption buffer: the front end pulls committed-path
-     * records through TraceSource::fill() in batches, so sources with
-     * contiguous storage (trace replay) cost one bulk copy per batch
-     * instead of one virtual call per instruction.
+     * records through TraceSource::fill() in batches, so a replayed
+     * capture costs a bulk copy and a live executor one block of
+     * execution per batch, instead of one virtual call per
+     * instruction.
      */
     static constexpr std::size_t FillBatch = 64;
     std::array<func::DynInst, FillBatch> buffer_;

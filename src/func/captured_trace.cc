@@ -1,80 +1,45 @@
 #include "func/captured_trace.hh"
 
 #include <algorithm>
+#include <new>
 
 #include "util/logging.hh"
 
 namespace cpe::func {
 
-CapturedTrace::CapturedTrace(std::vector<DynInst> insts)
-    : insts_(std::move(insts))
-{
-    insts_.shrink_to_fit();
-}
-
 CapturedTrace
 CapturedTrace::capture(TraceSource &source, std::uint64_t max_insts)
 {
-    std::vector<DynInst> insts;
-    // One virtual call per block, not per instruction; the block size
-    // matches the fetch unit's consumption batch.
-    constexpr std::size_t Block = 4096;
-    DynInst buffer[Block];
-    std::uint64_t total = 0;
-    while (total < max_insts) {
-        std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(Block, max_insts - total));
-        std::size_t got = source.fill(buffer, want);
-        insts.insert(insts.end(), buffer, buffer + got);
-        total += got;
+    CapturedTrace trace;
+    std::size_t capacity = 0;
+    while (trace.size_ < max_insts) {
+        if (trace.size_ == capacity) {
+            // Uninitialized: fill() writes every record it returns, and
+            // pages a short stream never reaches are never touched.
+            capacity = capacity ? 2 * capacity : InitialRecords;
+            void *block = std::realloc(trace.insts_.get(),
+                                       capacity * sizeof(DynInst));
+            if (!block)
+                throw std::bad_alloc();
+            trace.insts_.release();
+            trace.insts_.reset(static_cast<DynInst *>(block));
+        }
+        std::size_t want = static_cast<std::size_t>(std::min<std::uint64_t>(
+            capacity - trace.size_, max_insts - trace.size_));
+        std::size_t got =
+            source.fill(trace.insts_.get() + trace.size_, want);
+        trace.size_ += got;
         if (got < want)
             break;  // short fill = end of stream
     }
-    return CapturedTrace(std::move(insts));
+    // The block is not trimmed: the capture never writes its unused
+    // tail, so the tail adds no resident memory.  A trim would cost
+    // more than it saves: freeing a trimmed block raises glibc's mmap
+    // threshold to exactly its size, so the next capture of the same
+    // stream outgrows the heap and faults in fresh pages instead of
+    // reusing the freed ones.
+    return trace;
 }
-
-namespace {
-
-/**
- * Drive @p emit over the warm-relevant records of @p insts: the same
- * consecutive-run memo the record-by-record warm walk uses
- * (PhaseEngine::warmSpan) — only a run's first probe, plus the first
- * store into a run a load opened, can change cache state, so only
- * those become commands.  Shared by the count and the fill pass so
- * the two cannot disagree.
- */
-template <typename Emit>
-void
-scanWarm(const std::vector<DynInst> &insts, Addr iMask, Addr dMask,
-         Emit &&emit)
-{
-    Addr lastILine = ~Addr{0};
-    Addr lastDLine = ~Addr{0};
-    bool lastDLineDirty = false;
-    for (std::size_t i = 0; i < insts.size(); ++i) {
-        const DynInst &rec = insts[i];
-        auto at = static_cast<std::uint32_t>(i);
-        Addr iline = rec.pc & iMask;
-        if (iline != lastILine) {
-            lastILine = iline;
-            emit(at, WarmKind::ILine, false, rec, iline, Addr{0});
-        }
-        if (rec.isControl())
-            emit(at, WarmKind::Ctrl, rec.taken, rec, rec.pc,
-                 rec.nextPc);
-        if (rec.isMem()) {
-            Addr dline = rec.memAddr & dMask;
-            bool store = rec.isStore();
-            if (dline != lastDLine || (store && !lastDLineDirty)) {
-                lastDLine = dline;
-                lastDLineDirty = store;
-                emit(at, WarmKind::DLine, store, rec, dline, Addr{0});
-            }
-        }
-    }
-}
-
-} // namespace
 
 const WarmIndex *
 CapturedTrace::warmIndex(unsigned iLineBytes, unsigned dLineBytes) const
@@ -85,30 +50,47 @@ CapturedTrace::warmIndex(unsigned iLineBytes, unsigned dLineBytes) const
             index->dLineBytes == dLineBytes)
             return index.get();
 
-    CPE_ASSERT(insts_.size() <= ~std::uint32_t{0},
+    CPE_ASSERT(size_ <= ~std::uint32_t{0},
                "trace too large for a 32-bit warm index");
     auto index = std::make_unique<WarmIndex>();
     index->iLineBytes = iLineBytes;
     index->dLineBytes = dLineBytes;
-    Addr iMask = ~static_cast<Addr>(iLineBytes - 1);
-    Addr dMask = ~static_cast<Addr>(dLineBytes - 1);
-    // Count first, then fill into an exactly-sized vector: growth
-    // reallocation would copy the (large) command array several times
-    // over.
-    std::size_t count = 0;
-    scanWarm(insts_, iMask, dMask,
-             [&count](std::uint32_t, WarmKind, bool, const DynInst &,
-                      Addr, Addr) { ++count; });
-    index->cmds.reserve(count);
-    scanWarm(insts_, iMask, dMask,
-             [&cmds = index->cmds](std::uint32_t at, WarmKind kind,
-                                   bool flag, const DynInst &rec,
-                                   Addr a, Addr b) {
-                 cmds.push_back({at, kind, flag,
-                                 kind == WarmKind::Ctrl ? rec.inst
-                                                        : isa::Inst{},
-                                 a, b});
-             });
+    const Addr iMask = ~static_cast<Addr>(iLineBytes - 1);
+    const Addr dMask = ~static_cast<Addr>(dLineBytes - 1);
+
+    // One pass, with the same consecutive-run memo the
+    // record-by-record warm walk uses (PhaseEngine::warmSpan): only a
+    // run's first probe, plus the first store into a run a load
+    // opened, can change cache state, so only those become commands.
+    // A record yields at most two commands (ILine, plus Ctrl or DLine:
+    // no record is both).  Reserving that bound spares the growth
+    // copies; the untouched tail of the reservation is never faulted
+    // in.
+    std::vector<WarmCmd> &cmds = index->cmds;
+    cmds.reserve(2 * size_);
+    Addr lastILine = ~Addr{0};
+    Addr lastDLine = ~Addr{0};
+    bool lastDLineDirty = false;
+    for (std::size_t i = 0; i < size_; ++i) {
+        const DynInst &rec = insts_[i];
+        auto at = static_cast<std::uint32_t>(i);
+        Addr iline = rec.pc & iMask;
+        if (iline != lastILine) {
+            lastILine = iline;
+            cmds.push_back({at, WarmKind::ILine, false, iline});
+        }
+        if (rec.isControl())
+            cmds.push_back({at, WarmKind::Ctrl, false, Addr{0}});
+        if (rec.isMem()) {
+            Addr dline = rec.memAddr & dMask;
+            bool store = rec.isStore();
+            if (dline != lastDLine || (store && !lastDLineDirty)) {
+                lastDLine = dline;
+                lastDLineDirty = store;
+                cmds.push_back({at, WarmKind::DLine, store, dline});
+            }
+        }
+    }
     warmIndexes_.push_back(std::move(index));
     return warmIndexes_.back().get();
 }

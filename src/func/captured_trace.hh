@@ -3,13 +3,20 @@
  * The capture-once, replay-many seam at the functional/timing boundary.
  *
  * A CapturedTrace is the complete committed-path instruction stream of
- * one live Executor run, frozen into a contiguous DynInst vector.  A
- * ReplayTraceSource is a cheap cursor over it: many timing runs — on
- * the same thread or concurrently across sweep workers — replay one
- * immutable capture without re-executing the functional model.  This
- * is the trace-driven idiom (capture once, replay per timing variant)
- * the paper-era studies used to share workloads; here it removes the
- * N-fold functional cost from N-point sweep grids.
+ * one live Executor run, frozen into one contiguous block of DynInst
+ * records.  A ReplayTraceSource is a cheap cursor over it: many timing
+ * runs — on the same thread or concurrently across sweep workers —
+ * replay one immutable capture without re-executing the functional
+ * model.  This is the trace-driven idiom (capture once, replay per
+ * timing variant) the paper-era studies used to share workloads; here
+ * it removes the N-fold functional cost from N-point sweep grids.
+ *
+ * Capture writes each record exactly once: the source's fill() runs
+ * straight into the uninitialized tail of a malloc'd block, which
+ * grows by doubling with realloc.  glibc grows a large block by
+ * remapping its pages (mremap), not by copying them, and nothing is
+ * lent out before capture returns, so the block is free to move until
+ * then.  It is not trimmed afterwards (see capture()).
  *
  * Determinism contract (DESIGN.md "Functional/timing boundary"): the
  * functional stream is a pure function of (workload name, workload
@@ -22,6 +29,7 @@
 #define CPE_FUNC_CAPTURED_TRACE_HH
 
 #include <cstddef>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -34,14 +42,17 @@ namespace cpe::func {
 class CapturedTrace
 {
   public:
-    explicit CapturedTrace(std::vector<DynInst> insts);
+    /** Records in a capture's first block; it doubles from there. */
+    static constexpr std::size_t InitialRecords = std::size_t{1} << 16;
 
     /** Movable despite the warm-index mutex; a capture must not be
      *  moved while another thread is building an index on it. */
     CapturedTrace(CapturedTrace &&other) noexcept
         : insts_(std::move(other.insts_)),
+          size_(other.size_),
           warmIndexes_(std::move(other.warmIndexes_))
     {
+        other.size_ = 0;
     }
 
     /**
@@ -53,18 +64,17 @@ class CapturedTrace
     static CapturedTrace capture(TraceSource &source,
                                  std::uint64_t max_insts = ~0ull);
 
-    std::size_t size() const { return insts_.size(); }
-    bool empty() const { return insts_.empty(); }
-    const DynInst *data() const { return insts_.data(); }
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    const DynInst *data() const { return insts_.get(); }
     const DynInst &operator[](std::size_t i) const { return insts_[i]; }
 
-    /** Resident footprint, for cache eviction accounting.  Lazily
-     *  built warm indexes (bounded at ~15% of the trace each) are not
-     *  counted: they appear after the cache has sized the entry. */
-    std::size_t memoryBytes() const
-    {
-        return insts_.capacity() * sizeof(DynInst);
-    }
+    /** Resident footprint, for cache eviction accounting: the records
+     *  (the capture never writes the block's unused tail).  Lazily
+     *  built warm indexes (16-byte commands, 16–26% of the trace each
+     *  on the F13 streams) are not counted: they appear after the
+     *  cache has sized the entry. */
+    std::size_t memoryBytes() const { return size_ * sizeof(DynInst); }
 
     /**
      * The warm-command stream (see WarmIndex) for this capture,
@@ -77,7 +87,15 @@ class CapturedTrace
                                unsigned dLineBytes) const;
 
   private:
-    std::vector<DynInst> insts_;
+    CapturedTrace() = default;
+
+    struct Free
+    {
+        void operator()(DynInst *block) const { std::free(block); }
+    };
+
+    std::unique_ptr<DynInst[], Free> insts_;
+    std::size_t size_ = 0;
     mutable std::mutex warmMutex_;
     mutable std::vector<std::unique_ptr<WarmIndex>> warmIndexes_;
 };

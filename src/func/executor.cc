@@ -22,23 +22,28 @@ Executor::Executor(prog::Program program, std::uint64_t max_insts)
     state_.writeReg(prog::reg::sp, prog::layout::StackTop);
 }
 
-bool
-Executor::next(DynInst &out)
+void
+Executor::tripFuse() const
+{
+    Json snapshot = Json::object();
+    snapshot["kind"] = "instruction_fuse";
+    snapshot["program"] = program_.name();
+    snapshot["insts"] = instCount_;
+    snapshot["pc"] = state_.pc();
+    throw ProgressError(Msg() << "program " << program_.name()
+                              << " exceeded instruction fuse of "
+                              << maxInsts_ << " (pc=0x" << std::hex
+                              << state_.pc() << ")",
+                        std::move(snapshot));
+}
+
+inline bool
+Executor::step(DynInst &out)
 {
     if (state_.halted())
         return false;
-    if (instCount_ >= maxInsts_) {
-        Json snapshot = Json::object();
-        snapshot["kind"] = "instruction_fuse";
-        snapshot["program"] = program_.name();
-        snapshot["insts"] = instCount_;
-        snapshot["pc"] = state_.pc();
-        throw ProgressError(Msg() << "program " << program_.name()
-                                  << " exceeded instruction fuse of "
-                                  << maxInsts_ << " (pc=0x" << std::hex
-                                  << state_.pc() << ")",
-                            std::move(snapshot));
-    }
+    if (instCount_ >= maxInsts_)
+        tripFuse();
     Addr pc = state_.pc();
     const Inst &inst = program_.fetch(pc);
 
@@ -54,6 +59,21 @@ Executor::next(DynInst &out)
     out.taken = out.isControl() &&
                 out.nextPc != pc + isa::InstBytes;
     return true;
+}
+
+bool
+Executor::next(DynInst &out)
+{
+    return step(out);
+}
+
+std::size_t
+Executor::fill(DynInst *out, std::size_t max)
+{
+    std::size_t n = 0;
+    while (n < max && step(out[n]))
+        ++n;
+    return n;
 }
 
 std::uint64_t

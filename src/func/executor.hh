@@ -23,10 +23,12 @@ namespace cpe::func {
  *
  * Loads the program's data segments on construction, initializes the
  * stack pointer, and then executes instructions with exact ISA
- * semantics.  Every step() emits the DynInst record the timing core
- * consumes.
+ * semantics.  Every executed instruction emits the DynInst record the
+ * timing core consumes; fill() writes a whole block of them straight
+ * into the caller's storage (a capture's block), one virtual call per
+ * block.
  */
-class Executor : public TraceSource
+class Executor final : public TraceSource
 {
   public:
     /**
@@ -46,6 +48,10 @@ class Executor : public TraceSource
      */
     bool next(DynInst &out) override;
 
+    /** Execute up to @p max instructions into @p out; short only at
+     *  HALT.  Throws ProgressError at the fuse, as next() does. */
+    std::size_t fill(DynInst *out, std::size_t max) override;
+
     /** Run to HALT (or the fuse); @return dynamic instruction count. */
     std::uint64_t run();
 
@@ -59,6 +65,12 @@ class Executor : public TraceSource
     std::uint64_t instCount() const { return instCount_; }
 
   private:
+    /** next() without the virtual dispatch, for fill()'s loop. */
+    bool step(DynInst &out);
+
+    /** Throw the ProgressError of a tripped instruction fuse. */
+    [[noreturn]] void tripFuse() const;
+
     /** Execute @p inst at the current PC; fills the DynInst record. */
     void executeOne(const isa::Inst &inst, DynInst &rec);
 

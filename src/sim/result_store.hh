@@ -90,6 +90,9 @@ class ResultStore
     /**
      * The memo key of @p config: FNV-1a of its machine-file text with
      * the label cleared, plus @p store_version, as 16 hex digits.
+     * Panics if a cache field the machine text leaves out (L1I and L2
+     * line size, any level's replacement policy or seed) is off its
+     * default: the key could not tell that machine from the default.
      */
     static std::string keyFor(const SimConfig &config,
                               const std::string &store_version = version());

@@ -231,6 +231,29 @@ TEST(ResultStore, KeyTracksContentNotFormatting)
     EXPECT_EQ(keyOf(reparsed.config), key);
 }
 
+TEST(ResultStore, KeyRefusesCacheFieldsTheMachineTextOmits)
+{
+    // Two machines differing only in a field toMachineFile() leaves
+    // out would share a key, and one would be served the other's
+    // result; keyFor() refuses them instead.
+    sim::SimConfig iline = storeConfig("crc");
+    iline.core.fetch.icache.lineBytes = 64;
+    EXPECT_DEATH(keyOf(iline), "does not carry");
+
+    sim::SimConfig l2_repl = storeConfig("crc");
+    l2_repl.l2.cache.repl = mem::ReplPolicy::Random;
+    EXPECT_DEATH(keyOf(l2_repl), "does not carry");
+
+    sim::SimConfig l1d_seed = storeConfig("crc");
+    l1d_seed.core.dcache.cache.replSeed = 9;
+    EXPECT_DEATH(keyOf(l1d_seed), "does not carry");
+
+    // The L1D line size is carried, so it keys normally.
+    sim::SimConfig dline = storeConfig("crc");
+    dline.core.dcache.cache.lineBytes = 64;
+    EXPECT_NE(keyOf(dline), keyOf(storeConfig("crc")));
+}
+
 TEST(ResultStore, ReorderedEquivalentMachineTextHitsSameKey)
 {
     // Two hand-written descriptions of one machine: reordered

@@ -5,16 +5,20 @@
  * StitchedTraceSource hand-back contract, the warm-only update paths,
  * statistics snapshot/restore, the [sample] configuration rules, and
  * an end-to-end periodic sampled run checked for determinism and a
- * sane error against the full-detail result.  (Bit-identity of the
- * degenerate plan is covered by test_sampled_differential.cc.)
+ * sane error against the full-detail result, plus the warm-index
+ * build raced from several threads.  (Bit-identity of the degenerate
+ * plan is covered by test_sampled_differential.cc.)
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include "cpu/branch_predictor.hh"
+#include "func/captured_trace.hh"
+#include "func/executor.hh"
 #include "mem/cache.hh"
 #include "sim/phase_engine.hh"
 #include "sim/sample_scheduler.hh"
@@ -24,6 +28,7 @@
 #include "stats/stats.hh"
 #include "util/error.hh"
 #include "util/logging.hh"
+#include "workload/registry.hh"
 
 #include "expect_error.hh"
 
@@ -400,6 +405,43 @@ TEST(SampledRun, WarmIndexMatchesRecordByRecordWalk)
     EXPECT_EQ(live.ipc, replayed.ipc);
     EXPECT_EQ(live.sampleJson, replayed.sampleJson);
     EXPECT_EQ(live.statsJson, replayed.statsJson);
+}
+
+TEST(SampledRun, ConcurrentWarmIndexBuildsOncePerGeometry)
+{
+    // Sweep workers replaying one shared capture may all ask for its
+    // index at once, for different L1 geometries: each geometry is
+    // built once, and every caller gets that one index.
+    auto capture = [] {
+        func::Executor executor(workload::WorkloadRegistry::instance().build(
+            "compress", workload::WorkloadOptions{}));
+        return func::CapturedTrace::capture(executor);
+    };
+    const func::CapturedTrace shared = capture();
+    constexpr unsigned Geometry[2][2] = {{32, 32}, {64, 16}};
+    constexpr int Threads = 4;
+    const func::WarmIndex *got[Threads][2] = {};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < Threads; ++t)
+        threads.emplace_back([&shared, &got, &Geometry, t] {
+            // Half the threads ask for each geometry first.
+            for (int k = 0; k < 2; ++k) {
+                int g = (t + k) % 2;
+                got[t][g] = shared.warmIndex(Geometry[g][0], Geometry[g][1]);
+            }
+        });
+    for (auto &thread : threads)
+        thread.join();
+
+    const func::CapturedTrace fresh = capture();
+    for (int g = 0; g < 2; ++g) {
+        for (int t = 1; t < Threads; ++t)
+            EXPECT_EQ(got[t][g], got[0][g]) << "geometry " << g;
+        const func::WarmIndex *serial =
+            fresh.warmIndex(Geometry[g][0], Geometry[g][1]);
+        EXPECT_TRUE(got[0][g]->cmds == serial->cmds) << "geometry " << g;
+    }
+    EXPECT_NE(got[0][0], got[0][1]);
 }
 
 TEST(SampledRun, EstimateTracksTheFullDetailResult)

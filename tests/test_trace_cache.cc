@@ -1,10 +1,13 @@
 /**
  * @file
- * TraceCache tests: keying (timing-only variants share a capture,
- * any functional difference never does), single capture per group —
- * including under concurrent acquisition — LRU eviction that keeps
- * in-flight replays valid, and the on-disk spill (round trip, corrupt
- * entries falling back to live capture, failed captures never cached).
+ * CapturedTrace and TraceCache tests.  The capture: records written in
+ * place into one growing block, and the one-pass warm index against a
+ * record-by-record reference scan.  The cache: keying (timing-only
+ * variants share a capture, any functional difference never does),
+ * single capture per group — including under concurrent acquisition —
+ * LRU eviction that keeps in-flight replays valid, and the on-disk
+ * spill (round trip, corrupt or truncated entries falling back to live
+ * capture, failed captures never cached).
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +17,7 @@
 #include <future>
 #include <vector>
 
+#include "func/captured_trace.hh"
 #include "func/executor.hh"
 #include "func/trace_file.hh"
 #include "sim/trace_cache.hh"
@@ -34,6 +38,16 @@ cacheConfig(const std::string &workload)
     return config;
 }
 
+/** Every DynInst field equal. */
+bool
+sameRecord(const func::DynInst &a, const func::DynInst &b)
+{
+    return a.seq == b.seq && a.pc == b.pc && a.memAddr == b.memAddr &&
+           a.nextPc == b.nextPc && a.inst == b.inst && a.cls == b.cls &&
+           a.memSize == b.memSize && a.taken == b.taken &&
+           a.kernelMode == b.kernelMode;
+}
+
 /** A per-test spill directory under the gtest temp dir. */
 struct TempDir
 {
@@ -45,6 +59,110 @@ struct TempDir
     }
     ~TempDir() { std::filesystem::remove_all(path); }
 };
+
+/** Synthesizes a stream of @p total records and logs where each
+ *  fill() was asked to write, with the index of its first record. */
+class RecordingSource : public func::TraceSource
+{
+  public:
+    explicit RecordingSource(std::size_t total) : total_(total) {}
+
+    bool
+    next(func::DynInst &out) override
+    {
+        if (made_ == total_)
+            return false;
+        out = func::DynInst{};
+        out.seq = ++made_;
+        out.pc = 0x1000 + 4 * made_;
+        return true;
+    }
+
+    std::size_t
+    fill(func::DynInst *out, std::size_t max) override
+    {
+        fills.push_back({out, made_});
+        return TraceSource::fill(out, max);
+    }
+
+    std::vector<std::pair<const func::DynInst *, std::size_t>> fills;
+
+  private:
+    std::size_t total_;
+    std::size_t made_ = 0;
+};
+
+/** compress at the default scale: 379,761 records. */
+func::CapturedTrace
+captureCompress()
+{
+    func::Executor executor(workload::WorkloadRegistry::instance().build(
+        "compress", workload::WorkloadOptions{}));
+    return func::CapturedTrace::capture(executor);
+}
+
+TEST(CapturedTrace, WritesEachRecordInPlace)
+{
+    // A capture that fills its first block exactly never reallocates
+    // it, so every record must sit where the source wrote it: no
+    // staging buffer, no copy, under any allocator.
+    const std::size_t first = func::CapturedTrace::InitialRecords;
+    RecordingSource source(3 * first);
+    func::CapturedTrace trace = func::CapturedTrace::capture(source, first);
+    ASSERT_EQ(trace.size(), first);
+    ASSERT_FALSE(source.fills.empty());
+    for (std::size_t f = 0; f < source.fills.size(); ++f) {
+        auto [dest, at] = source.fills[f];
+        EXPECT_EQ(&trace[at], dest) << "fill " << f;
+    }
+    EXPECT_EQ(trace.memoryBytes(), trace.size() * 56);
+
+    // A longer stream grows the block; memoryBytes() counts records.
+    const std::size_t total = 2 * first + 30'000;
+    RecordingSource longer(total);
+    func::CapturedTrace grown = func::CapturedTrace::capture(longer);
+    ASSERT_EQ(grown.size(), total);
+    EXPECT_EQ(grown.memoryBytes(), grown.size() * 56);
+    for (std::size_t i = 0; i < total; ++i)
+        ASSERT_EQ(grown[i].seq, i + 1) << "record " << i;
+}
+
+TEST(CapturedTrace, OnePassWarmIndexMatchesReferenceScan)
+{
+    func::CapturedTrace trace = captureCompress();
+    for (auto [ilb, dlb] : {std::pair{32u, 32u}, std::pair{64u, 16u}}) {
+        // Record by record, straight from the definition of a command.
+        std::vector<func::WarmCmd> reference;
+        Addr last_iline = ~Addr{0};
+        Addr last_dline = ~Addr{0};
+        bool last_dirty = false;
+        for (std::size_t i = 0; i < trace.size(); ++i) {
+            const func::DynInst &rec = trace[i];
+            auto at = static_cast<std::uint32_t>(i);
+            Addr iline = rec.pc / ilb * ilb;
+            if (iline != last_iline)
+                reference.push_back({at, func::WarmKind::ILine, false, iline});
+            last_iline = iline;
+            if (rec.isControl())
+                reference.push_back({at, func::WarmKind::Ctrl, false, 0});
+            if (!rec.isMem())
+                continue;
+            Addr dline = rec.memAddr / dlb * dlb;
+            if (dline != last_dline || (rec.isStore() && !last_dirty)) {
+                reference.push_back(
+                    {at, func::WarmKind::DLine, rec.isStore(), dline});
+                last_dline = dline;
+                last_dirty = rec.isStore();
+            }
+        }
+        const func::WarmIndex *index = trace.warmIndex(ilb, dlb);
+        ASSERT_NE(index, nullptr);
+        EXPECT_EQ(index->iLineBytes, ilb);
+        EXPECT_EQ(index->dLineBytes, dlb);
+        EXPECT_TRUE(index->cmds == reference) << ilb << "/" << dlb;
+        EXPECT_EQ(trace.warmIndex(ilb, dlb), index) << "memoized";
+    }
+}
 
 TEST(TraceCache, TimingOnlyVariantsShareAKey)
 {
@@ -158,7 +276,9 @@ TEST(TraceCache, ConcurrentAcquiresCaptureExactlyOnce)
 TEST(TraceCache, SpillsToDiskAndLoadsAcrossInstances)
 {
     TempDir dir("cpe_trace_cache_spill/");
-    SimConfig config = cacheConfig("copy");
+    // compress is long enough that the load grows the capture's block
+    // several times over.
+    SimConfig config = cacheConfig("compress");
 
     TraceCache writer(dir.path);
     auto captured = writer.acquire(config);
@@ -176,10 +296,9 @@ TEST(TraceCache, SpillsToDiskAndLoadsAcrossInstances)
     EXPECT_EQ(stats.diskLoads, 1u);
     EXPECT_EQ(stats.instsSkipped, loaded->size());
     ASSERT_EQ(loaded->size(), captured->size());
-    for (std::size_t i = 0; i < loaded->size(); ++i) {
-        EXPECT_EQ((*loaded)[i].pc, (*captured)[i].pc);
-        EXPECT_EQ((*loaded)[i].memAddr, (*captured)[i].memAddr);
-    }
+    for (std::size_t i = 0; i < loaded->size(); ++i)
+        ASSERT_TRUE(sameRecord((*loaded)[i], (*captured)[i]))
+            << "record " << i;
 }
 
 TEST(TraceCache, CorruptSpillEntryFallsBackToLiveCapture)
@@ -201,6 +320,36 @@ TEST(TraceCache, CorruptSpillEntryFallsBackToLiveCapture)
     TraceCache::Stats stats = cache.stats();
     EXPECT_EQ(stats.diskLoads, 0u);
     EXPECT_EQ(stats.captures, 1u);
+}
+
+TEST(TraceCache, TruncatedSpillEntryFallsBackToLiveCapture)
+{
+    TempDir dir("cpe_trace_cache_truncated/");
+    SimConfig config = cacheConfig("copy");
+    std::string path;
+    {
+        TraceCache writer(dir.path);
+        writer.acquire(config);
+        path = writer.spillPath(config);
+    }
+    // A valid header promising more records than the file holds (the
+    // last three 40-byte CPET records cut off): the load must notice
+    // the short stream rather than replay a prefix.
+    auto bytes = std::filesystem::file_size(path);
+    std::filesystem::resize_file(path, bytes - 3 * 40);
+
+    TraceCache cache(dir.path);
+    auto trace = cache.acquire(config);
+    TraceCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.diskLoads, 0u);
+    EXPECT_EQ(stats.captures, 1u);
+
+    func::Executor golden(workload::WorkloadRegistry::instance().build(
+        config.workloadName, config.workload));
+    auto expected = func::recordTrace(golden, ~std::size_t{0});
+    ASSERT_EQ(trace->size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i)
+        ASSERT_TRUE(sameRecord((*trace)[i], expected[i])) << "record " << i;
 }
 
 TEST(TraceCache, FailedCapturesAreNotCached)

@@ -131,14 +131,14 @@ TEST(TraceFile, ReadTraceMatchesStreamingReader)
     Executor exec(program);
     writeTrace(exec, file.path, 2000);
 
-    std::vector<DynInst> whole = readTrace(file.path);
+    CapturedTrace whole = readTrace(file.path);
     ASSERT_EQ(whole.size(), 2000u);
     FileTraceSource reader(file.path);
     DynInst inst;
-    for (const auto &want : whole) {
+    for (std::size_t i = 0; i < whole.size(); ++i) {
         ASSERT_TRUE(reader.next(inst));
-        EXPECT_EQ(inst.seq, want.seq);
-        EXPECT_EQ(inst.pc, want.pc);
+        EXPECT_EQ(inst.seq, whole[i].seq);
+        EXPECT_EQ(inst.pc, whole[i].pc);
     }
 }
 
