@@ -35,6 +35,15 @@ variants()
     return variantsAt(8);
 }
 
+std::vector<exp::GridSpec>
+grids(const std::vector<std::string> &suite)
+{
+    std::vector<exp::GridSpec> out;
+    for (unsigned kib : {8u, 16u, 32u, 64u})
+        out.push_back({"kib" + std::to_string(kib), variantsAt(kib), suite});
+    return out;
+}
+
 void
 run(exp::Context &ctx)
 {
@@ -42,8 +51,7 @@ run(exp::Context &ctx)
     table.addHeader({"L1D size", "1p plain", "1p all", "2 ports",
                      "1p-all/2p", "miss% (1p all, geomean-ish)"});
     for (unsigned kib : {8u, 16u, 32u, 64u}) {
-        auto grid = ctx.runGrid("kib" + std::to_string(kib),
-                                variantsAt(kib));
+        const auto &grid = ctx.grid("kib" + std::to_string(kib));
 
         // Average miss rate across the suite for the technique config.
         double miss_sum = 0.0;
@@ -53,7 +61,7 @@ run(exp::Context &ctx)
             config.core.dcache.tech =
                 core::PortTechConfig::singlePortAllTechniques();
             config.core.dcache.cache.sizeBytes = kib * 1024;
-            miss_sum += sim::simulate(config).l1dMissRate;
+            miss_sum += ctx.machineResult(config).l1dMissRate;
         }
         double plain = grid.geomeanIpc("1p plain");
         double all = grid.geomeanIpc("1p all");
@@ -79,6 +87,7 @@ exp::Registrar reg({
     .workloads = {},
     .baseline = "2 ports",
     .gateExclude = {},
+    .grids = grids,
     .run = run,
 });
 

@@ -40,10 +40,16 @@ variants()
     return out;
 }
 
+std::vector<exp::GridSpec>
+grids(const std::vector<std::string> &suite)
+{
+    return {{"main", variants(), suite}};
+}
+
 void
 run(exp::Context &ctx)
 {
-    auto grid = ctx.runGrid("main", variants());
+    const auto &grid = ctx.grid("main");
     ctx.out() << "IPC:\n" << grid.ipcTable().render() << "\n";
 
     TextTable table;
@@ -60,7 +66,7 @@ run(exp::Context &ctx)
             config.core.dcache.tech =
                 core::PortTechConfig::singlePortAllTechniques();
             config.core.bpred.kind = kind.kind;
-            auto result = sim::simulate(config);
+            auto result = ctx.machineResult(config);
             row.push_back(
                 TextTable::num(100 * result.condAccuracy, 1) + "%");
         }
@@ -81,6 +87,7 @@ exp::Registrar reg({
     .workloads = {},
     .baseline = "",
     .gateExclude = {},
+    .grids = grids,
     .run = run,
 });
 

@@ -26,11 +26,16 @@ variants()
     return out;
 }
 
+std::vector<exp::GridSpec>
+grids(const std::vector<std::string> &suite)
+{
+    return {{"main", variants(), suite, "1 port"}};
+}
+
 void
 run(exp::Context &ctx)
 {
-    auto grid = ctx.runGrid("main", variants(), {}, "1 port");
-    ctx.printGrid(grid, "1 port");
+    ctx.printGrid(ctx.grid("main"), "1 port");
 
     ctx.out() << "Reading: the paper's premise is the 1-port column "
                  "trailing the 2-port\nbaseline noticeably on "
@@ -46,6 +51,7 @@ exp::Registrar reg({
     .workloads = {},
     .baseline = "1 port",
     .gateExclude = {},
+    .grids = grids,
     .run = run,
 });
 

@@ -32,11 +32,16 @@ variants()
     return out;
 }
 
+std::vector<exp::GridSpec>
+grids(const std::vector<std::string> &suite)
+{
+    return {{"main", variants(), suite, "no sb"}};
+}
+
 void
 run(exp::Context &ctx)
 {
-    auto grid = ctx.runGrid("main", variants(), {}, "no sb");
-    ctx.printGrid(grid, "no sb");
+    ctx.printGrid(ctx.grid("main"), "no sb");
 
     ctx.out() << "Reading: a small buffer captures most of the benefit "
                  "(the paper's point\nthat modest extra buffering goes a "
@@ -52,6 +57,7 @@ exp::Registrar reg({
     .workloads = {},
     .baseline = "no sb",
     .gateExclude = {},
+    .grids = grids,
     .run = run,
 });
 

@@ -26,11 +26,16 @@ variants()
     return out;
 }
 
+std::vector<exp::GridSpec>
+grids(const std::vector<std::string> &suite)
+{
+    return {{"main", variants(), suite, "no lb"}};
+}
+
 void
 run(exp::Context &ctx)
 {
-    auto grid = ctx.runGrid("main", variants(), {}, "no lb");
-    ctx.printGrid(grid, "no lb");
+    ctx.printGrid(ctx.grid("main"), "no lb");
 
     // Line-buffer hit rates for the largest file.
     TextTable table;
@@ -39,7 +44,10 @@ run(exp::Context &ctx)
     core::PortTechConfig tech = core::PortTechConfig::singlePortBase();
     tech.lineBuffers = 8;
     for (const auto &name : ctx.suite()) {
-        auto result = sim::simulate(name, tech);
+        sim::SimConfig config = sim::SimConfig::defaults();
+        config.workloadName = name;
+        config.core.dcache.tech = tech;
+        auto result = ctx.machineResult(config);
         table.addRow({name,
                       TextTable::num(100 * result.lineBufferHitRate, 1) +
                           "%"});
@@ -55,6 +63,7 @@ exp::Registrar reg({
     .workloads = {},
     .baseline = "no lb",
     .gateExclude = {},
+    .grids = grids,
     .run = run,
 });
 

@@ -27,11 +27,16 @@ variants()
     return out;
 }
 
+std::vector<exp::GridSpec>
+grids(const std::vector<std::string> &suite)
+{
+    return {{"main", variants(), suite, "8B"}};
+}
+
 void
 run(exp::Context &ctx)
 {
-    auto grid = ctx.runGrid("main", variants(), {}, "8B");
-    ctx.printGrid(grid, "8B");
+    ctx.printGrid(ctx.grid("main"), "8B");
 
     // How the width changes technique effectiveness.
     TextTable table;
@@ -43,7 +48,10 @@ run(exp::Context &ctx)
         core::PortTechConfig tech =
             core::PortTechConfig::singlePortAllTechniques();
         tech.portWidthBytes = width;
-        auto result = sim::simulate("copy", tech);
+        sim::SimConfig config = sim::SimConfig::defaults();
+        config.workloadName = "copy";
+        config.core.dcache.tech = tech;
+        auto result = ctx.machineResult(config);
         table.addRow({std::to_string(width) + "B",
                       TextTable::num(100 * result.lineBufferHitRate, 1) +
                           "%",
@@ -62,6 +70,7 @@ exp::Registrar reg({
     .workloads = {},
     .baseline = "8B",
     .gateExclude = {},
+    .grids = grids,
     .run = run,
 });
 

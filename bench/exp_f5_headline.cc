@@ -44,10 +44,16 @@ variants()
     };
 }
 
+std::vector<exp::GridSpec>
+grids(const std::vector<std::string> &suite)
+{
+    return {{"main", variants(), suite, "2 ports"}};
+}
+
 void
 run(exp::Context &ctx)
 {
-    auto grid = ctx.runGrid("main", variants(), {}, "2 ports");
+    const auto &grid = ctx.grid("main");
     ctx.printGrid(grid, "2 ports");
 
     double headline =
@@ -77,6 +83,7 @@ exp::Registrar reg({
     .workloads = {},
     .baseline = "2 ports",
     .gateExclude = {},
+    .grids = grids,
     .run = run,
 });
 

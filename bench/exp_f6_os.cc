@@ -31,6 +31,16 @@ variants()
     return variantsAt(2);
 }
 
+std::vector<exp::GridSpec>
+grids(const std::vector<std::string> &suite)
+{
+    std::vector<exp::GridSpec> out;
+    for (unsigned os : {0u, 1u, 2u})
+        out.push_back(
+            {"os" + std::to_string(os), variantsAt(os), suite, "2 ports"});
+    return out;
+}
+
 void
 run(exp::Context &ctx)
 {
@@ -40,8 +50,7 @@ run(exp::Context &ctx)
                               : os == 1 ? " (timer-tick kernel entries)"
                                         : " (I/O-heavy kernel activity)")
                   << " ---\n";
-        auto grid = ctx.runGrid("os" + std::to_string(os),
-                                variantsAt(os), {}, "2 ports");
+        const auto &grid = ctx.grid("os" + std::to_string(os));
         ctx.out() << grid.relativeTable("2 ports").render();
         double recovered = 100.0 * grid.geomeanIpc("1p all") /
                            grid.geomeanIpc("2 ports");
@@ -64,6 +73,7 @@ exp::Registrar reg({
     .workloads = {},
     .baseline = "2 ports",
     .gateExclude = {},
+    .grids = grids,
     .run = run,
 });
 

@@ -54,6 +54,16 @@ variants()
     return variantsAt(4);
 }
 
+std::vector<exp::GridSpec>
+grids(const std::vector<std::string> &suite)
+{
+    std::vector<exp::GridSpec> out;
+    for (unsigned width : {2u, 4u, 8u})
+        out.push_back(
+            {"width" + std::to_string(width), variantsAt(width), suite});
+    return out;
+}
+
 void
 run(exp::Context &ctx)
 {
@@ -61,8 +71,7 @@ run(exp::Context &ctx)
     table.addHeader({"issue width", "1p plain", "1p all", "2 ports",
                      "1p-all/2p"});
     for (unsigned width : {2u, 4u, 8u}) {
-        auto grid = ctx.runGrid("width" + std::to_string(width),
-                                variantsAt(width));
+        const auto &grid = ctx.grid("width" + std::to_string(width));
         double plain = grid.geomeanIpc("1p plain");
         double all = grid.geomeanIpc("1p all");
         double dual = grid.geomeanIpc("2 ports");
@@ -88,6 +97,7 @@ exp::Registrar reg({
     .workloads = {},
     .baseline = "2 ports",
     .gateExclude = {},
+    .grids = grids,
     .run = run,
 });
 

@@ -34,115 +34,106 @@ variants()
             {"threshold-6", threshold}};
 }
 
-void
-run(exp::Context &ctx)
+exp::Variant
+withVictims(unsigned entries, const std::string &label)
 {
-    {
-        ctx.out() << "--- line-buffer write policy (OS level 2) ---\n";
-        TC update = TC::singlePortAllTechniques();
-        TC inval = update;
-        inval.lineBufferWrite = core::LineBufferWritePolicy::Invalidate;
-        TC no_flush = update;
-        no_flush.flushLineBuffersOnModeSwitch = false;
+    return {label, TC::singlePortAllTechniques(), 0,
+            [entries](sim::SimConfig &config) {
+                config.core.dcache.cache.assoc = 1;
+                config.core.dcache.victimEntries = entries;
+            }};
+}
+
+exp::Variant
+withPrefetch(bool prefetch, unsigned ports, const std::string &label)
+{
+    return {label,
+            ports == 1 ? TC::singlePortAllTechniques() : TC::dualPortBase(),
+            0, [prefetch](sim::SimConfig &config) {
+                config.core.dcache.nextLinePrefetch = prefetch;
+            }};
+}
+
+exp::Variant
+withWrongPath(bool on, const std::string &label)
+{
+    return {label, TC::singlePortAllTechniques(), 0,
+            [on](sim::SimConfig &config) {
+                config.core.fetch.modelWrongPathIFetch = on;
+            }};
+}
+
+std::vector<exp::GridSpec>
+grids(const std::vector<std::string> &suite)
+{
+    TC update = TC::singlePortAllTechniques();
+    TC inval = update;
+    inval.lineBufferWrite = core::LineBufferWritePolicy::Invalidate;
+    TC no_flush = update;
+    no_flush.flushLineBuffersOnModeSwitch = false;
+
+    TC steal = TC::singlePortAllTechniques();
+    TC dedicated = steal;
+    dedicated.fillPolicy = core::FillPolicy::DedicatedFillPort;
+    TC slow_fill = steal;
+    slow_fill.fillOccupancyCycles = 4;
+
+    return {
         // Use the read-modify-write-heavy kernels where write policy
         // can matter at all; pure streaming kernels never re-read
         // stored lines.
-        std::vector<std::string> rmw_suite = {"histogram", "crc",
-                                              "copy", "stencil",
-                                              "saxpy", "sort"};
-        auto grid = ctx.runGrid("lb_write_policy",
-                                {{"patch", update, 2},
-                                 {"invalidate", inval, 2},
-                                 {"patch, no mode flush", no_flush, 2}},
-                                rmw_suite, "patch");
-        ctx.out() << grid.relativeTable("patch").render() << "\n";
-    }
-
-    {
-        ctx.out() << "--- store-buffer drain policy ---\n";
-        auto grid =
-            ctx.runGrid("drain_policy", variants(), {}, "idle-steal");
-        ctx.out() << grid.relativeTable("idle-steal").render() << "\n";
-    }
-
-    {
-        ctx.out() << "--- fill policy ---\n";
-        TC steal = TC::singlePortAllTechniques();
-        TC dedicated = steal;
-        dedicated.fillPolicy = core::FillPolicy::DedicatedFillPort;
-        TC slow_fill = steal;
-        slow_fill.fillOccupancyCycles = 4;
-        auto grid = ctx.runGrid("fill_policy",
-                                {{"steal (2 cyc)", steal},
-                                 {"dedicated port", dedicated},
-                                 {"steal (4 cyc)", slow_fill}},
-                                {}, "steal (2 cyc)");
-        ctx.out() << grid.relativeTable("steal (2 cyc)").render() << "\n";
-    }
-
-    {
-        ctx.out() << "--- victim cache (extension; direct-mapped L1, "
-                     "Jouppi's setting) ---\n";
-        auto with_victims = [&](unsigned entries,
-                                const std::string &label) {
-            return exp::Variant{
-                label, TC::singlePortAllTechniques(), 0,
-                [entries](sim::SimConfig &config) {
-                    config.core.dcache.cache.assoc = 1;
-                    config.core.dcache.victimEntries = entries;
-                }};
-        };
-        auto grid = ctx.runGrid("victim_cache",
-                                {with_victims(0, "no victims"),
-                                 with_victims(4, "4 victims"),
-                                 with_victims(8, "8 victims")},
-                                {}, "no victims");
-        ctx.out() << grid.relativeTable("no victims").render() << "\n";
-    }
-
-    {
-        ctx.out() << "--- next-line prefetch (extension) ---\n";
-        auto run_with = [&](bool prefetch, unsigned ports,
-                            const std::string &label) {
-            return exp::Variant{
-                label,
-                ports == 1 ? TC::singlePortAllTechniques()
-                           : TC::dualPortBase(),
-                0,
-                [prefetch](sim::SimConfig &config) {
-                    config.core.dcache.nextLinePrefetch = prefetch;
-                }};
-        };
-        auto grid = ctx.runGrid("prefetch",
-                                {run_with(false, 1, "1p all"),
-                                 run_with(true, 1, "1p all+pf"),
-                                 run_with(false, 2, "2p"),
-                                 run_with(true, 2, "2p+pf")},
-                                {}, "1p all");
-        ctx.out() << grid.relativeTable("1p all").render() << "\n";
-    }
-
-    {
-        ctx.out() << "--- wrong-path I-fetch modelling (fidelity "
-                     "check) ---\n";
-        auto wp = [&](bool on, const std::string &label) {
-            return exp::Variant{
-                label, TC::singlePortAllTechniques(), 0,
-                [on](sim::SimConfig &config) {
-                    config.core.fetch.modelWrongPathIFetch = on;
-                }};
-        };
+        {"lb_write_policy",
+         {{"patch", update, 2},
+          {"invalidate", inval, 2},
+          {"patch, no mode flush", no_flush, 2}},
+         {"histogram", "crc", "copy", "stencil", "saxpy", "sort"},
+         "patch"},
+        {"drain_policy", variants(), suite, "idle-steal"},
+        {"fill_policy",
+         {{"steal (2 cyc)", steal},
+          {"dedicated port", dedicated},
+          {"steal (4 cyc)", slow_fill}},
+         suite, "steal (2 cyc)"},
+        {"victim_cache",
+         {withVictims(0, "no victims"), withVictims(4, "4 victims"),
+          withVictims(8, "8 victims")},
+         suite, "no victims"},
+        {"prefetch",
+         {withPrefetch(false, 1, "1p all"), withPrefetch(true, 1, "1p all+pf"),
+          withPrefetch(false, 2, "2p"), withPrefetch(true, 2, "2p+pf")},
+         suite, "1p all"},
         // Include the mispredict-heavy kernels where it could matter.
-        std::vector<std::string> branchy = {"compress", "sort",
-                                            "hashjoin", "bsearch",
-                                            "strops", "stencil"};
-        auto grid = ctx.runGrid("wrong_path",
-                                {wp(false, "no wrong path"),
-                                 wp(true, "wrong-path ifetch")},
-                                branchy, "no wrong path");
-        ctx.out() << grid.relativeTable("no wrong path").render()
-                  << "\n";
-    }
+        {"wrong_path",
+         {withWrongPath(false, "no wrong path"),
+          withWrongPath(true, "wrong-path ifetch")},
+         {"compress", "sort", "hashjoin", "bsearch", "strops", "stencil"},
+         "no wrong path"},
+    };
+}
+
+void
+run(exp::Context &ctx)
+{
+    // Each section: its heading, the grid (whose replay line and any
+    // profiles print as it is fetched), then its relative view.
+    auto section = [&](const char *heading, const std::string &key,
+                       const std::string &baseline) {
+        ctx.out() << heading;
+        const auto &grid = ctx.grid(key);
+        ctx.out() << grid.relativeTable(baseline).render() << "\n";
+    };
+    section("--- line-buffer write policy (OS level 2) ---\n",
+            "lb_write_policy", "patch");
+    section("--- store-buffer drain policy ---\n", "drain_policy",
+            "idle-steal");
+    section("--- fill policy ---\n", "fill_policy", "steal (2 cyc)");
+    section("--- victim cache (extension; direct-mapped L1, "
+            "Jouppi's setting) ---\n",
+            "victim_cache", "no victims");
+    section("--- next-line prefetch (extension) ---\n", "prefetch",
+            "1p all");
+    section("--- wrong-path I-fetch modelling (fidelity check) ---\n",
+            "wrong_path", "no wrong path");
 
     ctx.out() << "Reading: patching beats invalidating (keeps hot lines "
                  "servable); idle-cycle\nstealing beats store priority "
@@ -158,6 +149,7 @@ exp::Registrar reg({
     .workloads = {},
     .baseline = "idle-steal",
     .gateExclude = {},
+    .grids = grids,
     .run = run,
 });
 

@@ -8,9 +8,7 @@
  * single port beat a banked pseudo-dual-ported cache?
  */
 
-#include "cpu/ooo_core.hh"
 #include "exp/registry.hh"
-#include "func/executor.hh"
 
 namespace {
 
@@ -32,11 +30,16 @@ variants()
     return out;
 }
 
+std::vector<exp::GridSpec>
+grids(const std::vector<std::string> &suite)
+{
+    return {{"main", variants(), suite, "2 ports"}};
+}
+
 void
 run(exp::Context &ctx)
 {
-    auto grid = ctx.runGrid("main", variants(), {}, "2 ports");
-    ctx.printGrid(grid, "2 ports");
+    ctx.printGrid(ctx.grid("main"), "2 ports");
 
     // Bank-conflict rates for the banked points, on the most
     // port-hungry workload.
@@ -49,14 +52,13 @@ run(exp::Context &ctx)
         sim::SimConfig config = sim::SimConfig::defaults();
         config.workloadName = "copy";
         config.core.dcache.tech = tech;
-        func::Executor executor(workload::WorkloadRegistry::instance()
-                                    .build("copy", config.workload));
-        mem::MemHierarchy hierarchy(config.l2, config.dram);
-        cpu::OooCore core(config.core, &executor, &hierarchy);
-        core.run();
-        table.addRow({std::to_string(banks),
-                      TextTable::num(core.dcache().bankConflicts.value()),
-                      TextTable::num(core.ipc())});
+        sim::SimResult result = ctx.machineResult(config);
+        Json stats = Json::parse(result.statsJson, "stats");
+        auto conflicts = static_cast<std::uint64_t>(
+            stats.at("core").at("dcache_unit").at("bank_conflicts")
+                .asNumber());
+        table.addRow({std::to_string(banks), TextTable::num(conflicts),
+                      TextTable::num(result.ipc)});
     }
     ctx.out() << table.render() << "\n";
     ctx.out() << "Reading: enough banks approximate a true dual port; "
@@ -72,6 +74,7 @@ exp::Registrar reg({
     .workloads = {},
     .baseline = "2 ports",
     .gateExclude = {},
+    .grids = grids,
     .run = run,
 });
 

@@ -55,6 +55,7 @@ exp::Registrar reg({
     .workloads = {},
     .baseline = "",
     .gateExclude = {},
+    .grids = {},
     .run = run,
 });
 

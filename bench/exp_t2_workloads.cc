@@ -64,6 +64,7 @@ exp::Registrar reg({
     .workloads = {},
     .baseline = "",
     .gateExclude = {},
+    .grids = {},
     .run = run,
 });
 

@@ -6,9 +6,7 @@
  * mechanism-level evidence behind F5's performance recovery.
  */
 
-#include "cpu/ooo_core.hh"
 #include "exp/registry.hh"
-#include "func/executor.hh"
 
 namespace {
 
@@ -20,14 +18,18 @@ variants()
     return {{"1p all", core::PortTechConfig::singlePortAllTechniques()}};
 }
 
+std::vector<exp::GridSpec>
+grids(const std::vector<std::string> &suite)
+{
+    return {{"main", variants(), suite}};
+}
+
 void
 run(exp::Context &ctx)
 {
     setVerbose(false);
 
-    core::PortTechConfig tech =
-        core::PortTechConfig::singlePortAllTechniques();
-    auto grid = ctx.runGrid("main", variants());
+    const auto &grid = ctx.grid("main");
 
     TextTable table;
     table.addHeader({"workload", "ld sb-fwd%", "ld linebuf%",
@@ -36,30 +38,30 @@ run(exp::Context &ctx)
     for (const auto &name : ctx.suite()) {
         const sim::SimResult &result = grid.result(name, "1p all");
 
-        // Pull the load-source breakdown out of the stats dump via a
-        // second run's live objects (cheap at these sizes).
+        // The load-source breakdown is in the stats of the machine's
+        // run (the grid's own, unless a hook or fault changed it).
         sim::SimConfig config = sim::SimConfig::defaults();
         config.workloadName = name;
-        config.core.dcache.tech = tech;
-        func::Executor executor(workload::WorkloadRegistry::instance()
-                                    .build(name, config.workload));
-        mem::MemHierarchy hierarchy(config.l2, config.dram);
-        cpu::OooCore core(config.core, &executor, &hierarchy);
-        core.run();
-        auto &dcache = core.dcache();
+        config.core.dcache.tech =
+            core::PortTechConfig::singlePortAllTechniques();
+        Json stats =
+            Json::parse(ctx.machineResult(config).statsJson, "stats");
+        const Json &dcache = stats.at("core").at("dcache_unit");
+        auto loads = [&](const char *source) {
+            return static_cast<std::uint64_t>(
+                dcache.at(source).asNumber());
+        };
         double total_loads = static_cast<double>(
-            dcache.loadsForwarded.value() +
-            dcache.loadsLineBuffer.value() +
-            dcache.loadsCacheHit.value() + dcache.loadsMiss.value() +
-            dcache.loadsMissMerged.value());
+            loads("loads_sb_fwd") + loads("loads_line_buf") +
+            loads("loads_cache_hit") + loads("loads_miss") +
+            loads("loads_miss_merged"));
         auto pct = [&](std::uint64_t value) {
             return TextTable::num(100.0 * value / total_loads, 1);
         };
         table.addRow(
-            {name, pct(dcache.loadsForwarded.value()),
-             pct(dcache.loadsLineBuffer.value()),
-             pct(dcache.loadsCacheHit.value() +
-                 dcache.loadsMiss.value()),
+            {name, pct(loads("loads_sb_fwd")),
+             pct(loads("loads_line_buf")),
+             pct(loads("loads_cache_hit") + loads("loads_miss")),
              TextTable::num(result.sbStoresPerDrain, 2),
              TextTable::num(100 * result.portUtilization, 1),
              TextTable::num(100 * result.l1dMissRate, 1)});
@@ -78,6 +80,7 @@ exp::Registrar reg({
     .workloads = {},
     .baseline = "",
     .gateExclude = {},
+    .grids = grids,
     .run = run,
 });
 

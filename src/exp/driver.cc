@@ -470,6 +470,14 @@ runExperiments(const Options &options)
     unsigned failed_runs = 0;
     std::vector<std::string> failure_summaries;
 
+    // Every grid of every selected experiment runs first, as one pool;
+    // the bodies then only render.  F13 still times its own runs, alone,
+    // as its body renders.
+    Schedule schedule(experiments,
+                      options.workloads.empty()
+                          ? workload::WorkloadRegistry::evaluationSuite()
+                          : options.workloads);
+
     for (const auto *experiment : experiments) {
         // Each experiment starts from the old per-binary defaults so
         // a multi-experiment run renders identically to the former
@@ -481,7 +489,7 @@ runExperiments(const Options &options)
         out << "==== " << experiment->id << ": " << experiment->title
             << " ====\n\n";
         Context context(*experiment, out, options.workloads,
-                        options.keepGoing);
+                        options.keepGoing, &schedule);
         if (options.keepGoing) {
             // A failed run leaves holes in the grids; an experiment
             // body that trips over one (a missing cell, an absent
@@ -764,12 +772,21 @@ checkExperiment(const std::string &id, const Json &baseline,
 
 namespace {
 
-/** Clears, on every exit path, the process-wide hooks evalMain
- *  installs: the trace sink, trace cache, and result store it points
- *  at its own locals, and the sampling parameters (which would
- *  otherwise turn later in-process sweeps into sampled ones). */
+/** Puts back, on every exit path, the process-wide hooks evalMain
+ *  installs: it clears the trace sink, trace cache, and result store
+ *  it points at its own locals, and the sampling parameters (which
+ *  would otherwise turn later in-process sweeps into sampled ones),
+ *  and restores the sweep job count, retry policy, fault plan, and
+ *  chaos schedule the caller had. */
 struct HookReset
 {
+    unsigned jobs = sim::SweepRunner::defaultJobsOverride();
+    util::RetryPolicy retryPolicy = sim::SweepRunner::defaultRetryPolicy();
+    std::vector<std::pair<std::string, std::string>> faultPlan =
+        faultInjection();
+    bool chaosArmed = util::FaultInjector::armed();
+    util::ChaosSpec chaos = util::FaultInjector::instance().spec();
+
     HookReset() = default;
     ~HookReset()
     {
@@ -777,6 +794,13 @@ struct HookReset
         setTraceCache(nullptr);
         setSampling(sim::SampleParams{});
         sim::ResultStore::setActive(nullptr);
+        sim::SweepRunner::setDefaultJobs(jobs);
+        sim::SweepRunner::setDefaultRetryPolicy(retryPolicy);
+        setFaultInjection(faultPlan);
+        if (chaosArmed)
+            util::FaultInjector::instance().arm(chaos);
+        else
+            util::FaultInjector::instance().disarm();
     }
     HookReset(const HookReset &) = delete;
     HookReset &operator=(const HookReset &) = delete;

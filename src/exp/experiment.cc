@@ -3,6 +3,7 @@
 #include <ostream>
 
 #include "obs/profiler.hh"
+#include "sim/config_file.hh"
 #include "sim/sweep_runner.hh"
 #include "sim/trace_cache.hh"
 #include "util/logging.hh"
@@ -93,21 +94,40 @@ printReplaySummary(std::ostream &out, const std::string &experiment_id,
     out << "\n\n";
 }
 
+/** The functional work @p runs saved, as a one-at-a-time sweep of
+ *  that grid would have counted it. */
 ReplaySavings
-savingsSince(const sim::TraceCache::Stats &before)
+savingsOf(const GridRuns &runs)
 {
-    sim::TraceCache::Stats now = traceCache->stats();
-    ReplaySavings delta;
-    delta.captures = now.captures - before.captures;
-    delta.diskLoads = now.diskLoads - before.diskLoads;
-    delta.replays = (now.replays - before.replays) + delta.diskLoads;
-    delta.instsSkipped = now.instsSkipped - before.instsSkipped;
-    delta.spillFailures = now.spillFailures - before.spillFailures;
-    delta.degraded = traceCache->degraded();
-    return delta;
+    ReplaySavings saved;
+    for (const auto &run : runs.runs) {
+        const sim::TraceCache::Stats &work = run.cacheWork;
+        saved.captures += work.captures;
+        saved.diskLoads += work.diskLoads;
+        saved.replays += work.replays + work.diskLoads;
+        saved.instsSkipped += work.instsSkipped;
+        saved.spillFailures += work.spillFailures;
+    }
+    saved.degraded = runs.degraded;
+    return saved;
+}
+
+/** The machine a config describes, as the result memo keys it. */
+std::string
+machineText(const sim::SimConfig &config)
+{
+    sim::SimConfig machine = config;
+    machine.label.clear();
+    return sim::toMachineFile(machine);
 }
 
 } // namespace
+
+std::vector<std::pair<std::string, std::string>>
+faultInjection()
+{
+    return faultPlan;
+}
 
 void
 setFaultInjection(std::vector<std::pair<std::string, std::string>> plan)
@@ -182,14 +202,85 @@ suiteConfigs(const std::vector<Variant> &variants,
     return configs;
 }
 
+namespace {
+
+/**
+ * Run @p grids, in the order given, as one SweepRunner pool, with
+ * every process-wide hook applied to their configs (suiteConfigs).
+ */
+std::vector<GridRuns>
+runGrids(const std::vector<GridSpec> &grids)
+{
+    VerboseScope quiet(false);
+    std::vector<GridRuns> out(grids.size());
+    std::vector<sim::SimConfig> configs;
+    for (std::size_t g = 0; g < grids.size(); ++g) {
+        out[g].configs = suiteConfigs(grids[g].variants, grids[g].workloads);
+        configs.insert(configs.end(), out[g].configs.begin(),
+                       out[g].configs.end());
+    }
+    sim::TraceCache::Stats before;
+    if (traceCache)
+        before = traceCache->stats();
+    auto runs = sim::SweepRunner().runSchedule(configs);
+
+    // The spill breaker's state after each grid, as far as the pool
+    // can tell: open once the failures charged up to that grid could
+    // have tripped it.
+    const bool degraded = traceCache && traceCache->degraded();
+    std::uint64_t failures = before.spillFailures;
+    auto next = runs.begin();
+    for (auto &grid : out) {
+        auto end = next + static_cast<std::ptrdiff_t>(grid.configs.size());
+        grid.runs.assign(std::make_move_iterator(next),
+                         std::make_move_iterator(end));
+        next = end;
+        for (const auto &run : grid.runs)
+            failures += run.cacheWork.spillFailures;
+        grid.degraded =
+            degraded &&
+            failures >= sim::TraceCache::SpillBreakerThreshold;
+    }
+    return out;
+}
+
+} // namespace
+
+Schedule::Schedule(const std::vector<const Experiment *> &experiments,
+                   const std::vector<std::string> &suite)
+{
+    std::vector<std::pair<std::string, std::string>> keys;
+    std::vector<GridSpec> specs;
+    for (const auto *experiment : experiments) {
+        if (!experiment->grids)
+            continue;
+        for (auto &spec : experiment->grids(suite)) {
+            keys.emplace_back(experiment->id, spec.key);
+            specs.push_back(std::move(spec));
+        }
+    }
+    auto runs = runGrids(specs);
+    for (std::size_t g = 0; g < specs.size(); ++g)
+        grids_.emplace(keys[g], std::move(runs[g]));
+}
+
+const GridRuns *
+Schedule::find(const std::string &experiment, const std::string &key) const
+{
+    auto it = grids_.find({experiment, key});
+    return it == grids_.end() ? nullptr : &it->second;
+}
+
 Context::Context(const Experiment &experiment, std::ostream &out,
-                 std::vector<std::string> workloads, bool keep_going)
+                 std::vector<std::string> workloads, bool keep_going,
+                 const Schedule *schedule)
     : experiment_(experiment),
       out_(out),
       suite_(workloads.empty()
                  ? workload::WorkloadRegistry::evaluationSuite()
                  : std::move(workloads)),
       keepGoing_(keep_going),
+      schedule_(schedule),
       doc_(Json::object())
 {
     doc_["experiment"] = experiment.id;
@@ -198,43 +289,40 @@ Context::Context(const Experiment &experiment, std::ostream &out,
     doc_["headlines"] = Json::object();
 }
 
-sim::ResultGrid
-Context::runGrid(const std::string &key,
-                 const std::vector<Variant> &variants,
-                 const std::vector<std::string> &workloads,
-                 const std::string &baseline)
+const sim::ResultGrid &
+Context::grid(const std::string &key)
 {
-    VerboseScope quiet(false);
-    auto configs =
-        suiteConfigs(variants, workloads.empty() ? suite_ : workloads);
-    // Replay accounting: the delta of the shared cache's counters
-    // across this grid is exactly the functional work this grid saved.
-    sim::TraceCache::Stats cache_before;
-    if (traceCache)
-        cache_before = traceCache->stats();
-    if (!keepGoing_) {
-        sim::ResultGrid grid = sim::SweepRunner().runGrid(configs);
-        Json grid_json = grid.toJson(baseline);
-        if (traceCache) {
-            ReplaySavings saved = savingsSince(cache_before);
-            grid_json["replay"] = saved.toJson();
-            printReplaySummary(out_, experiment_.id, key, saved);
-        }
-        doc_["grids"][key] = std::move(grid_json);
-        printProfiles(grid);
-        return grid;
+    if (auto it = fetched_.find(key); it != fetched_.end())
+        return it->second.grid;
+    if (specs_.empty() && experiment_.grids)
+        specs_ = experiment_.grids(suite_);
+    auto spec = std::find_if(specs_.begin(), specs_.end(),
+                             [&](const GridSpec &candidate) {
+                                 return candidate.key == key;
+                             });
+    if (spec == specs_.end())
+        panic(Msg() << experiment_.id << " fetched grid '" << key
+                    << "', which it does not declare");
+    const GridRuns *runs =
+        schedule_ ? schedule_->find(experiment_.id, key) : nullptr;
+    if (!runs) {
+        ownRuns_.push_back(
+            std::make_unique<GridRuns>(std::move(runGrids({*spec})[0])));
+        runs = ownRuns_.back().get();
     }
 
-    // Fault-isolating path: every run completes; failures become
-    // structured "errors" records beside the (partial) grid.
-    auto outcomes = sim::SweepRunner().runOutcomes(configs);
     sim::ResultGrid grid("IPC");
     Json errors = Json::array();
-    for (const auto &outcome : outcomes) {
+    for (const auto &run : runs->runs) {
+        const sim::RunOutcome &outcome = run.outcome;
         if (outcome.ok()) {
             grid.add(outcome.result);
             continue;
         }
+        // All or nothing outside keep-going mode: the first failed
+        // run's error ends the experiment, and nothing is recorded.
+        if (!keepGoing_)
+            std::rethrow_exception(outcome.exception);
         errors.push(outcome.errorJson());
         ++failedRuns_;
         failureSummaries_.push_back(
@@ -246,21 +334,39 @@ Context::runGrid(const std::string &key,
 
     Json grid_json;
     try {
-        grid_json = grid.toJson(baseline);
+        grid_json = grid.toJson(spec->baseline);
     } catch (const SimError &) {
+        if (!keepGoing_)
+            throw;
         // The baseline column lost runs; record the absolute view.
         grid_json = grid.toJson();
     }
     if (errors.items().size())
         grid_json["errors"] = std::move(errors);
     if (traceCache) {
-        ReplaySavings saved = savingsSince(cache_before);
+        ReplaySavings saved = savingsOf(*runs);
         grid_json["replay"] = saved.toJson();
         printReplaySummary(out_, experiment_.id, key, saved);
     }
     doc_["grids"][key] = std::move(grid_json);
     printProfiles(grid);
-    return grid;
+    return fetched_.emplace(key, Fetched{runs, std::move(grid)})
+        .first->second.grid;
+}
+
+sim::SimResult
+Context::machineResult(const sim::SimConfig &machine)
+{
+    const std::string text = machineText(machine);
+    for (const auto &[key, fetched] : fetched_) {
+        const GridRuns &runs = *fetched.runs;
+        for (std::size_t i = 0; i < runs.configs.size(); ++i)
+            if (runs.configs[i].workloadName == machine.workloadName &&
+                runs.runs[i].outcome.ok() &&
+                machineText(runs.configs[i]) == text)
+                return runs.runs[i].outcome.result;
+    }
+    return sim::simulate(machine);
 }
 
 void

@@ -1,14 +1,17 @@
 /**
  * @file
  * The experiment subsystem: descriptors for the reconstructed
- * evaluation's tables and figures (T1–T3, F1–F12), replacing the old
+ * evaluation's tables and figures (T1–T3, F1–F13), replacing the old
  * one-binary-per-experiment harness.
  *
  * An Experiment names its primary variant grid (what the regression
- * gate re-runs and the tests validate) and a run() body that renders
- * the experiment exactly as the former bench binaries did, while
- * recording every grid and headline ratio it computes into a
- * stable-keyed JSON document through the Context.
+ * gate re-runs and the tests validate), declares every grid its body
+ * renders, and has a run() body that renders the experiment exactly as
+ * the former bench binaries did, while recording every grid and
+ * headline ratio into a stable-keyed JSON document through the
+ * Context.  Bodies fetch their grids; they do not run them.  cpe_eval
+ * runs the grids of every selected experiment as one pool (Schedule)
+ * before the first body renders.
  */
 
 #ifndef CPE_EXP_EXPERIMENT_HH
@@ -16,6 +19,8 @@
 
 #include <functional>
 #include <iosfwd>
+#include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +28,7 @@
 #include "core/port_config.hh"
 #include "sim/config.hh"
 #include "sim/report.hh"
+#include "sim/sweep_runner.hh"
 #include "util/error.hh"
 #include "util/json.hh"
 
@@ -63,6 +69,9 @@ suiteConfigs(const std::vector<Variant> &variants,
 void setFaultInjection(
     std::vector<std::pair<std::string, std::string>> plan);
 
+/** The installed fault plan (empty = none). */
+std::vector<std::pair<std::string, std::string>> faultInjection();
+
 /**
  * Observability hook (cpe_eval --trace / --sample-cycles /
  * --profile[=N]).  Every config built by suiteConfigs() whose variant
@@ -81,7 +90,7 @@ void setObservability(obs::TraceSink *sink, Cycle sample_cycles,
  * --no-replay): every config built by suiteConfigs() consults
  * @p cache, so each grid executes the functional model once per
  * (workload, functional-knobs) group and replays the shared capture
- * through every timing variant.  Context::runGrid reports the
+ * through every timing variant.  Context::grid reports the
  * functional work saved per grid — one summary line plus a "replay"
  * member in the grid's JSON record.  Pass nullptr to clear; set
  * before a sweep starts, never during one.
@@ -98,6 +107,18 @@ void setTraceCache(sim::TraceCache *cache);
 void setSampling(const sim::SampleParams &params);
 
 class Context;
+
+/** One grid an experiment renders: labelled variants over workloads. */
+struct GridSpec
+{
+    /** Where the grid lands in the JSON document: grids.<key>. */
+    std::string key;
+    std::vector<Variant> variants;
+    /** The grid's rows, in order (usually the suite). */
+    std::vector<std::string> workloads;
+    /** Column the recorded relative geomeans divide by ("" = none). */
+    std::string baseline = "";
+};
 
 /** One registered experiment of the reconstructed evaluation. */
 struct Experiment
@@ -133,17 +154,57 @@ struct Experiment
      */
     std::vector<std::string> gateExclude;
     /**
-     * The full experiment body: runs its grids through the Context
+     * Every grid the body fetches, for the given suite, in the order
+     * it fetches them: the order a one-at-a-time sweep would run them,
+     * which the replay accounting follows.  Unset means the body
+     * fetches no grid (T1, T2, and F13, which times its own runs).
+     */
+    std::function<std::vector<GridSpec>(
+        const std::vector<std::string> &suite)>
+        grids;
+    /**
+     * The full experiment body: fetches its grids through the Context
      * (so they land in the JSON document) and writes the same tables
      * and notes the standalone binary printed.
      */
     std::function<void(Context &)> run;
 };
 
+/** The runs of one declared grid, as Context::grid() fetches them. */
+struct GridRuns
+{
+    /** The grid's configs, workload-major (suiteConfigs). */
+    std::vector<sim::SimConfig> configs;
+    /** One per config: the outcome and its share of the cache work. */
+    std::vector<sim::ScheduledRun> runs;
+    /** The spill circuit breaker was open once this grid had run. */
+    bool degraded = false;
+};
+
+/**
+ * The grids of several experiments, run as one pool before any of
+ * them renders: what cpe_eval --run hands each Context.  The pool's
+ * order is experiment (as given) -> grid (as declared) -> config.
+ */
+class Schedule
+{
+  public:
+    /** Run every grid @p experiments declare for @p suite. */
+    Schedule(const std::vector<const Experiment *> &experiments,
+             const std::vector<std::string> &suite);
+
+    /** @p experiment's grid @p key; nullptr when it has none. */
+    const GridRuns *find(const std::string &experiment,
+                         const std::string &key) const;
+
+  private:
+    std::map<std::pair<std::string, std::string>, GridRuns> grids_;
+};
+
 /**
  * Execution context handed to an experiment body: the output stream
- * for tables, the (possibly overridden) workload suite, grid
- * execution, and the JSON results document being assembled.
+ * for tables, the (possibly overridden) workload suite, the declared
+ * grids, and the JSON results document being assembled.
  */
 class Context
 {
@@ -154,10 +215,12 @@ class Context
      * @param keep_going fault-isolating mode: a failing run becomes a
      *        structured "errors" record in the JSON document instead
      *        of an exception ending the experiment.
+     * @param schedule where the declared grids already ran; without
+     *        one, grid() runs each grid when the body first asks.
      */
     Context(const Experiment &experiment, std::ostream &out,
             std::vector<std::string> workloads = {},
-            bool keep_going = false);
+            bool keep_going = false, const Schedule *schedule = nullptr);
 
     std::ostream &out() { return out_; }
     const Experiment &experiment() const { return experiment_; }
@@ -166,16 +229,24 @@ class Context
     const std::vector<std::string> &suite() const { return suite_; }
 
     /**
-     * Run a labelled variant grid — fanned out across the sweep
-     * runner's workers, results in workload-major order — and record
-     * it in the JSON document under grids.@p key.  @p workloads empty
-     * means suite(); @p baseline, when given, adds the relative
-     * geomeans to the recorded grid.
+     * The declared grid @p key (Experiment::grids), results in
+     * workload-major order: taken from the schedule, or run now — one
+     * grid as one pool — when the context has none.  The first fetch
+     * records it in the JSON document under grids.@p key (with its
+     * replay accounting and, in keep-going mode, its failures), prints
+     * the replay line and any profiles, and throws the first failed
+     * run's error outside keep-going mode.
      */
-    sim::ResultGrid runGrid(const std::string &key,
-                            const std::vector<Variant> &variants,
-                            const std::vector<std::string> &workloads = {},
-                            const std::string &baseline = "");
+    const sim::ResultGrid &grid(const std::string &key);
+
+    /**
+     * The result of @p machine, for a derived column: the run of the
+     * identical machine in a grid fetched so far — same machine text,
+     * so the same workload inputs and hooks, and no fault injected —
+     * else a side simulation of @p machine, live and outside the
+     * result memo and the trace cache.
+     */
+    sim::SimResult machineResult(const sim::SimConfig &machine);
 
     /** Print absolute IPCs and the relative-to-baseline view. */
     void printGrid(const sim::ResultGrid &grid,
@@ -183,7 +254,7 @@ class Context
 
     /**
      * Print each run's stall-attribution table (cpe_eval --profile);
-     * no-op for cells without a profile.  runGrid() calls this after
+     * no-op for cells without a profile.  grid() calls this after
      * recording the grid.
      */
     void printProfiles(const sim::ResultGrid &grid);
@@ -191,7 +262,7 @@ class Context
     /** Record a named headline ratio in the JSON document. */
     void headline(const std::string &key, double value);
 
-    /** Whether runGrid isolates per-run failures (--keep-going). */
+    /** Whether grid() isolates per-run failures (--keep-going). */
     bool keepGoing() const { return keepGoing_; }
 
     /** Runs that failed across every grid so far (keep-going mode). */
@@ -222,10 +293,23 @@ class Context
     }
 
   private:
+    /** A fetched grid: its runs and the results they rendered. */
+    struct Fetched
+    {
+        const GridRuns *runs;
+        sim::ResultGrid grid;
+    };
+
     const Experiment &experiment_;
     std::ostream &out_;
     std::vector<std::string> suite_;
     bool keepGoing_ = false;
+    const Schedule *schedule_ = nullptr;
+    /** The declared grids (built on first fetch). */
+    std::vector<GridSpec> specs_;
+    /** Grids run by this context itself (no schedule). */
+    std::vector<std::unique_ptr<GridRuns>> ownRuns_;
+    std::map<std::string, Fetched> fetched_;
     unsigned failedRuns_ = 0;
     std::vector<std::string> failureSummaries_;
     Json doc_;

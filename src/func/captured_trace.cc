@@ -95,6 +95,13 @@ CapturedTrace::warmIndex(unsigned iLineBytes, unsigned dLineBytes) const
     return warmIndexes_.back().get();
 }
 
+std::size_t
+CapturedTrace::warmIndexCount() const
+{
+    std::lock_guard<std::mutex> lock(warmMutex_);
+    return warmIndexes_.size();
+}
+
 ReplayTraceSource::ReplayTraceSource(
     std::shared_ptr<const CapturedTrace> trace)
     : owned_(std::move(trace)), trace_(owned_.get())

@@ -86,6 +86,9 @@ class CapturedTrace
     const WarmIndex *warmIndex(unsigned iLineBytes,
                                unsigned dLineBytes) const;
 
+    /** Warm indexes built so far: one per geometry asked for. */
+    std::size_t warmIndexCount() const;
+
   private:
     CapturedTrace() = default;
 

@@ -1,9 +1,11 @@
 #include "sim/sweep_runner.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <future>
+#include <map>
 #include <mutex>
 #include <thread>
 
@@ -17,7 +19,7 @@
 namespace cpe::sim {
 
 namespace {
-std::atomic<unsigned> defaultJobsOverride{0};
+std::atomic<unsigned> jobsOverride{0};
 
 std::mutex defaultPolicyMutex;
 util::RetryPolicy defaultPolicy;
@@ -189,7 +191,7 @@ RunOutcome::errorJson() const
 unsigned
 SweepRunner::defaultJobs()
 {
-    unsigned override = defaultJobsOverride.load(std::memory_order_relaxed);
+    unsigned override = jobsOverride.load(std::memory_order_relaxed);
     if (override)
         return override;
     if (const char *env = std::getenv("CPESIM_JOBS")) {
@@ -208,7 +210,13 @@ SweepRunner::defaultJobs()
 void
 SweepRunner::setDefaultJobs(unsigned jobs)
 {
-    defaultJobsOverride.store(jobs, std::memory_order_relaxed);
+    jobsOverride.store(jobs, std::memory_order_relaxed);
+}
+
+unsigned
+SweepRunner::defaultJobsOverride()
+{
+    return jobsOverride.load(std::memory_order_relaxed);
 }
 
 util::RetryPolicy
@@ -271,6 +279,133 @@ SweepRunner::runOutcomes(const std::vector<SimConfig> &configs) const
     for (std::size_t i = 0; i < futures.size(); ++i)
         outcomes[i] = futures[i].get();
     return outcomes;
+}
+
+std::vector<ScheduledRun>
+SweepRunner::runSchedule(const std::vector<SimConfig> &configs) const
+{
+    std::vector<ScheduledRun> runs(configs.size());
+    // A run executes on one thread from start to finish, so the change
+    // in that thread's cache counters across it is exactly its work.
+    auto runAt = [&](std::size_t i) {
+        TraceCache::Stats before = TraceCache::threadStats();
+        runs[i].outcome = executeOne(configs[i], policy_);
+        runs[i].cacheWork = TraceCache::threadStats() - before;
+    };
+    if (jobs_ <= 1 || configs.size() <= 1) {
+        for (std::size_t i = 0; i < configs.size(); ++i)
+            runAt(i);
+        return runs;
+    }
+
+    workload::WorkloadRegistry::instance();
+    util::ThreadPool pool(static_cast<unsigned>(
+        std::min<std::size_t>(jobs_, configs.size())));
+    auto wave = [&pool](std::size_t count, const auto &task) {
+        std::vector<std::future<void>> done;
+        done.reserve(count);
+        for (std::size_t i = 0; i < count; ++i)
+            done.push_back(pool.submit([&task, i]() { task(i); }));
+        for (auto &future : done)
+            future.get();
+    };
+
+    // Wave 1: each stream a valid config replays, in order of first
+    // use.  An invalid config never reaches its stream.
+    constexpr std::size_t NoStream = ~std::size_t{0};
+    std::vector<const SimConfig *> streams;   ///< first config of each
+    std::vector<std::size_t> lengths;
+    std::vector<std::size_t> streamOf(configs.size(), NoStream);
+    std::map<std::pair<TraceCache *, std::string>, std::size_t> streamIds;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const SimConfig &config = configs[i];
+        if (!config.traceCache || !config.validate().empty())
+            continue;
+        auto [it, fresh] = streamIds.emplace(
+            std::make_pair(config.traceCache, TraceCache::key(config)),
+            streams.size());
+        if (fresh)
+            streams.push_back(&config);
+        streamOf[i] = it->second;
+    }
+    lengths.assign(streams.size(), 0);
+    wave(streams.size(), [&](std::size_t s) {
+        try {
+            lengths[s] = streams[s]->traceCache->prepare(*streams[s])->size();
+        } catch (...) {
+            // Not cached: the stream's first run captures it again and
+            // meets the failure itself.
+        }
+    });
+
+    // Waves 2 and 3.  Wave 3 waits for wave 2, and one task runs all
+    // the repeats of a machine in input order, so each repeat finds
+    // its machine's result stored (or a failure unstored, and runs
+    // again) exactly as in the one-at-a-time order.
+    const bool memo = ResultStore::active() != nullptr;
+    std::vector<std::size_t> firsts;
+    std::vector<std::vector<std::size_t>> repeats;
+    std::map<std::string, std::size_t> machines;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        if (!memo || configs[i].obs.traceSink) {
+            firsts.push_back(i);
+            continue;
+        }
+        auto [it, first] = machines.emplace(ResultStore::keyFor(configs[i]),
+                                            repeats.size());
+        if (first) {
+            firsts.push_back(i);
+            repeats.emplace_back();
+        } else {
+            repeats[it->second].push_back(i);
+        }
+    }
+    auto length = [&](std::size_t i) {
+        return streamOf[i] == NoStream ? 0 : lengths[streamOf[i]];
+    };
+    std::stable_sort(firsts.begin(), firsts.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return length(a) > length(b);
+                     });
+    wave(firsts.size(), [&](std::size_t k) { runAt(firsts[k]); });
+    wave(repeats.size(), [&](std::size_t k) {
+        for (std::size_t i : repeats[k])
+            runAt(i);
+    });
+
+    // A stream's capture (or spill load) landed on whichever run
+    // claimed or made it.  The one-at-a-time order charges it to the
+    // stream's first run that acquires it: move it there, and hand the
+    // holder that run's replay in exchange.
+    std::vector<std::size_t> first(streams.size(), NoStream);
+    std::vector<std::size_t> holder(streams.size(), NoStream);
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const TraceCache::Stats &work = runs[i].cacheWork;
+        std::size_t s = streamOf[i];
+        if (s == NoStream || !(work.captures + work.diskLoads + work.replays))
+            continue;
+        if (first[s] == NoStream)
+            first[s] = i;
+        if (holder[s] == NoStream && work.captures + work.diskLoads)
+            holder[s] = i;
+    }
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+        if (holder[s] == NoStream || holder[s] == first[s] || !lengths[s])
+            continue;
+        TraceCache::Stats &from = runs[holder[s]].cacheWork;
+        TraceCache::Stats &to = runs[first[s]].cacheWork;
+        TraceCache::Stats replay;
+        replay.replays = 1;
+        replay.instsSkipped = lengths[s];
+        // The holder's production: its work beyond its replays.
+        TraceCache::Stats made = from;
+        made.replays = 0;
+        made.instsSkipped -= from.replays * lengths[s];
+        made.evictions = 0;
+        from = from - made + replay;
+        to = to - replay + made;
+    }
+    return runs;
 }
 
 std::vector<SimResult>

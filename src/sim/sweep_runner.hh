@@ -38,6 +38,7 @@
 
 #include "sim/report.hh"
 #include "sim/simulator.hh"
+#include "sim/trace_cache.hh"
 #include "util/error.hh"
 #include "util/json.hh"
 #include "util/retry.hh"
@@ -81,6 +82,23 @@ struct RunOutcome
     Json errorJson() const;
 };
 
+/**
+ * One run of a schedule (SweepRunner::runSchedule): its outcome and
+ * the trace-cache work charged to it.
+ */
+struct ScheduledRun
+{
+    RunOutcome outcome;
+    /**
+     * The cache counters this run moved, as a one-at-a-time sweep in
+     * schedule order would have moved them: a stream's capture (or
+     * spill load) belongs to the first run in that order that
+     * acquires it, every other acquisition is a replay, and a run the
+     * result store answers moves nothing.
+     */
+    TraceCache::Stats cacheWork;
+};
+
 /** Runs batches of independent simulations, possibly concurrently. */
 class SweepRunner
 {
@@ -119,6 +137,26 @@ class SweepRunner
      */
     RunOutcome runOne(const SimConfig &config) const;
 
+    /**
+     * Run the runs of many grids as one pool.  @p configs lists them
+     * in the order a one-at-a-time sweep would run them.  With more
+     * than one worker the pool goes in three waves, each finished
+     * before the next starts:
+     *   1. every distinct trace-cache stream a valid config replays is
+     *      prepared (TraceCache::prepare), in order of first use;
+     *   2. the first run of each machine, longest stream first;
+     *   3. the runs that repeat a machine of wave 2, which the
+     *      installed ResultStore answers; the repeats of one machine
+     *      go in input order, one at a time.  Traced runs, and every
+     *      run when no store is installed, belong to wave 2: nothing
+     *      answers them.
+     * With one worker every run goes inline in @p configs order, so
+     * traced runs claim their run ids in that order.  The outcomes
+     * are what runOutcomes() would give, in input order.
+     */
+    std::vector<ScheduledRun>
+    runSchedule(const std::vector<SimConfig> &configs) const;
+
     /** The retry policy this runner applies to transient failures. */
     const util::RetryPolicy &retryPolicy() const { return policy_; }
     void setRetryPolicy(const util::RetryPolicy &policy)
@@ -143,6 +181,9 @@ class SweepRunner
      * sweeps, not during one.
      */
     static void setDefaultJobs(unsigned jobs);
+
+    /** The setDefaultJobs() override in force (0 = none). */
+    static unsigned defaultJobsOverride();
 
     /**
      * The retry policy new runners start from: the last

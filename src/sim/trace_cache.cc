@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <sstream>
 #include <system_error>
+#include <utility>
 
 #include "func/executor.hh"
 #include "func/trace_file.hh"
@@ -69,6 +70,9 @@ cacheMetrics()
     }();
     return metrics;
 }
+
+/** This thread's share of every cache's counters (threadStats()). */
+thread_local TraceCache::Stats threadShare;
 
 /**
  * Flush @p path (a file or, with @p directory, the directory entry
@@ -178,11 +182,64 @@ TraceCache::spillPath(const SimConfig &config) const
     return (std::filesystem::path(spillDir_) / name.str()).string();
 }
 
+namespace {
+
+/** Every counter of TraceCache::Stats, for the field-wise operators. */
+constexpr std::uint64_t TraceCache::Stats::*StatFields[] = {
+    &TraceCache::Stats::captures,      &TraceCache::Stats::replays,
+    &TraceCache::Stats::diskLoads,     &TraceCache::Stats::diskWrites,
+    &TraceCache::Stats::evictions,     &TraceCache::Stats::instsCaptured,
+    &TraceCache::Stats::instsSkipped,  &TraceCache::Stats::spillFailures,
+};
+
+} // namespace
+
+TraceCache::Stats &
+TraceCache::Stats::operator+=(const Stats &other)
+{
+    for (auto field : StatFields)
+        this->*field += other.*field;
+    return *this;
+}
+
+TraceCache::Stats &
+TraceCache::Stats::operator-=(const Stats &other)
+{
+    for (auto field : StatFields)
+        this->*field -= other.*field;
+    return *this;
+}
+
+TraceCache::Stats
+TraceCache::threadStats()
+{
+    return threadShare;
+}
+
+void
+TraceCache::countLocked(Stats &share, std::uint64_t Stats::*field,
+                        std::uint64_t n)
+{
+    stats_.*field += n;
+    share.*field += n;
+}
+
 std::shared_ptr<const func::CapturedTrace>
 TraceCache::acquire(const SimConfig &config)
 {
-    const std::string cache_key = key(config);
+    return obtain(config, false);
+}
 
+std::shared_ptr<const func::CapturedTrace>
+TraceCache::prepare(const SimConfig &config)
+{
+    return obtain(config, true);
+}
+
+TraceCache::TracePtr
+TraceCache::obtain(const SimConfig &config, bool prepare)
+{
+    const std::string cache_key = key(config);
     std::promise<TracePtr> promise;
     std::shared_future<TracePtr> future;
     bool producer = false;
@@ -202,29 +259,37 @@ TraceCache::acquire(const SimConfig &config)
         }
     }
 
-    if (!producer) {
-        // Single-flight: if the capture is still in progress on
-        // another worker, this blocks until it lands; either way the
-        // functional model is not re-executed.
-        TracePtr trace = future.get();
-        cacheMetrics().replays->inc();
-        cacheMetrics().instsSkipped->inc(trace->size());
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.replays;
-        stats_.instsSkipped += trace->size();
-        return trace;
-    }
-
-    try {
-        TracePtr trace = produce(config, cache_key);
-        // Prebuild the warm-command index for the acquiring machine's
-        // line geometry while the capture is fresh: the cost belongs
-        // to the execute-once trace preparation, not to every sampled
-        // run that fast-forwards over the capture.  A variant with a
-        // different geometry falls back to a lazy build.
-        trace->warmIndex(config.core.fetch.icache.lineBytes,
-                         config.core.dcache.cache.lineBytes);
-        promise.set_value(trace);
+    TracePtr trace;
+    if (producer) {
+        Stats made;
+        try {
+            trace = produce(config, cache_key, made);
+            // A sampled config fast-forwards over the capture: prebuild
+            // its warm-command index while the capture is fresh, so the
+            // cost belongs to the execute-once trace preparation rather
+            // than to a sampled run.  Full-detail runs never read an
+            // index, so their captures build none; a variant with
+            // another geometry, or a sampled run of a stream a
+            // full-detail config captured, builds its index lazily.
+            if (config.sample.enabled())
+                trace->warmIndex(config.core.fetch.icache.lineBytes,
+                                 config.core.dcache.cache.lineBytes);
+            if (prepare) {
+                // Before any waiter wakes: a prepared production waits
+                // for the first run that claims it.
+                std::lock_guard<std::mutex> lock(mutex_);
+                entries_.at(cache_key).unclaimed = made;
+            }
+            promise.set_value(trace);
+        } catch (...) {
+            // Failures are delivered to every waiter but never cached:
+            // a later acquire retries from scratch.
+            promise.set_exception(std::current_exception());
+            std::lock_guard<std::mutex> lock(mutex_);
+            entries_.erase(cache_key);
+            threadShare += made;
+            throw;
+        }
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = entries_.find(cache_key);
         if (it != entries_.end()) {
@@ -234,19 +299,40 @@ TraceCache::acquire(const SimConfig &config)
             cacheMetrics().residentBytes->set(
                 static_cast<std::int64_t>(residentBytes_));
         }
+        if (!prepare)
+            threadShare += made;
         return trace;
-    } catch (...) {
-        // Failures are delivered to every waiter but never cached: a
-        // later acquire retries from scratch.
-        promise.set_exception(std::current_exception());
-        std::lock_guard<std::mutex> lock(mutex_);
-        entries_.erase(cache_key);
-        throw;
     }
+
+    // Single-flight: if the capture is still in progress on another
+    // worker, this blocks until it lands; either way the functional
+    // model is not re-executed.
+    trace = future.get();
+    if (prepare) {
+        if (config.sample.enabled())
+            trace->warmIndex(config.core.fetch.icache.lineBytes,
+                             config.core.dcache.cache.lineBytes);
+        return trace;
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = entries_.find(cache_key);
+    if (it != entries_.end() && it->second.unclaimed) {
+        // The first run of a prepared stream takes its production on
+        // its own share, as if it had captured the stream itself.
+        threadShare += *it->second.unclaimed;
+        it->second.unclaimed.reset();
+        return trace;
+    }
+    cacheMetrics().replays->inc();
+    cacheMetrics().instsSkipped->inc(trace->size());
+    countLocked(threadShare, &Stats::replays);
+    countLocked(threadShare, &Stats::instsSkipped, trace->size());
+    return trace;
 }
 
 TraceCache::TracePtr
-TraceCache::produce(const SimConfig &config, const std::string &cache_key)
+TraceCache::produce(const SimConfig &config, const std::string &cache_key,
+                    Stats &made)
 {
     const std::string path = spillPath(config);
     if (!path.empty() && spillUsable() &&
@@ -261,8 +347,8 @@ TraceCache::produce(const SimConfig &config, const std::string &cache_key)
             cacheMetrics().instsSkipped->inc(trace->size());
             {
                 std::lock_guard<std::mutex> lock(mutex_);
-                ++stats_.diskLoads;
-                stats_.instsSkipped += trace->size();
+                countLocked(made, &Stats::diskLoads);
+                countLocked(made, &Stats::instsSkipped, trace->size());
             }
             noteSpillSuccess();
             return trace;
@@ -270,7 +356,7 @@ TraceCache::produce(const SimConfig &config, const std::string &cache_key)
             warn(Msg() << "trace cache: spill entry " << path
                        << " unusable (" << error.what()
                        << "); falling back to live capture");
-            noteSpillFailure();
+            noteSpillFailure(made);
         }
     }
 
@@ -285,8 +371,8 @@ TraceCache::produce(const SimConfig &config, const std::string &cache_key)
     cacheMetrics().instsCaptured->inc(trace->size());
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.captures;
-        stats_.instsCaptured += trace->size();
+        countLocked(made, &Stats::captures);
+        countLocked(made, &Stats::instsCaptured, trace->size());
     }
 
     if (!path.empty() && spillUsable()) {
@@ -310,7 +396,7 @@ TraceCache::produce(const SimConfig &config, const std::string &cache_key)
             cacheMetrics().diskWrites->inc();
             {
                 std::lock_guard<std::mutex> lock(mutex_);
-                ++stats_.diskWrites;
+                countLocked(made, &Stats::diskWrites);
             }
             noteSpillSuccess();
         } catch (const std::exception &error) {
@@ -318,7 +404,7 @@ TraceCache::produce(const SimConfig &config, const std::string &cache_key)
                        << " to " << path << ": " << error.what());
             std::error_code ec;
             std::filesystem::remove(tmp, ec);
-            noteSpillFailure();
+            noteSpillFailure(made);
         }
     }
     return trace;
@@ -339,13 +425,13 @@ TraceCache::noteSpillSuccess()
 }
 
 void
-TraceCache::noteSpillFailure()
+TraceCache::noteSpillFailure(Stats &made)
 {
     bool tripped = false;
     cacheMetrics().spillFailures->inc();
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.spillFailures;
+        countLocked(made, &Stats::spillFailures);
         if (!degraded_ &&
             ++consecutiveSpillFailures_ >= SpillBreakerThreshold) {
             degraded_ = true;
@@ -393,7 +479,7 @@ TraceCache::evictLocked()
             victim->second.lastUse == newest)
             return;
         residentBytes_ -= victim->second.bytes;
-        ++stats_.evictions;
+        countLocked(threadShare, &Stats::evictions);
         cacheMetrics().evictions->inc();
         entries_.erase(victim);
     }

@@ -17,6 +17,11 @@
  * model while the other blocks on a shared future; both then replay
  * the same capture (tests/test_trace_cache.cc proves one capture).
  *
+ * A scheduler may also prepare() a stream before any run wants it, to
+ * learn its length.  The first acquire() after that claims the prepared
+ * capture instead of counting a replay, so the counters end as if that
+ * run had captured the stream itself.
+ *
  * On-disk spill (cpe_eval --trace-cache DIR): captures are also
  * persisted as CPET files named by key hash, and a later process'
  * cache miss loads from disk instead of re-executing — repeated
@@ -43,6 +48,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "func/captured_trace.hh"
@@ -68,6 +74,12 @@ class TraceCache
         std::uint64_t instsSkipped = 0;
         /** Spill read/write attempts that failed (I/O or corrupt). */
         std::uint64_t spillFailures = 0;
+
+        /** Field-wise sums, for moving work between snapshots. */
+        Stats &operator+=(const Stats &other);
+        Stats &operator-=(const Stats &other);
+        friend Stats operator+(Stats a, const Stats &b) { return a += b; }
+        friend Stats operator-(Stats a, const Stats &b) { return a -= b; }
     };
 
     /** Consecutive spill failures that trip the circuit breaker. */
@@ -90,13 +102,38 @@ class TraceCache
 
     /**
      * Get the committed-path trace for @p config's functional half,
-     * capturing (or spill-loading) it on first use.  Safe to call from
-     * any number of sweep workers; a capture failure (e.g. the
-     * executor's ProgressError fuse) propagates to every waiter and is
-     * not cached, so a later acquire retries.
+     * capturing (or spill-loading) it on first use.  A capture for a
+     * sampled config also builds that config's warm-command index;
+     * full-detail runs never read one.  Safe to call from any number
+     * of sweep workers; a capture failure (e.g. the executor's
+     * ProgressError fuse) propagates to every waiter and is not
+     * cached, so a later acquire retries.
      */
     std::shared_ptr<const func::CapturedTrace>
     acquire(const SimConfig &config);
+
+    /**
+     * Capture (or spill-load) @p config's stream ahead of the runs
+     * that will replay it, and build its warm-command index when
+     * @p config samples.  A stream already resident or in flight is
+     * only waited for.  A fresh production is counted like any
+     * capture, but on the share (threadStats()) of the first acquire()
+     * that follows, which counts no replay: the counters end as if
+     * that run had captured the stream.  A capture failure propagates
+     * and is not cached, exactly as in acquire().
+     * @return the capture, whose size() tells a scheduler how long the
+     * stream's runs are.
+     */
+    std::shared_ptr<const func::CapturedTrace>
+    prepare(const SimConfig &config);
+
+    /**
+     * The calling thread's share of every cache's counters: the work
+     * its own acquire() calls did or claimed.  A scheduler that runs
+     * one simulation at a time per thread charges cache work to a run
+     * by differencing this around it.
+     */
+    static Stats threadStats();
 
     /**
      * The cache key of @p config: workload name + every functional
@@ -131,10 +168,23 @@ class TraceCache
          *  flight (in-flight entries are never evicted). */
         std::size_t bytes = 0;
         std::uint64_t lastUse = 0;
+        /** A prepare()d production no acquire() has claimed yet:
+         *  the counts its first run's share takes over. */
+        std::optional<Stats> unclaimed;
     };
 
-    /** Capture live or load from spill; runs outside the lock. */
-    TracePtr produce(const SimConfig &config, const std::string &key);
+    /** acquire() and prepare(): find or produce @p config's entry. */
+    TracePtr obtain(const SimConfig &config, bool prepare);
+
+    /** Capture live or load from spill, counting into @p made as well;
+     *  runs outside the lock. */
+    TracePtr produce(const SimConfig &config, const std::string &key,
+                     Stats &made);
+
+    /** Add @p n to one counter, here and in @p share; callers hold
+     *  mutex_. */
+    void countLocked(Stats &share, std::uint64_t Stats::*field,
+                     std::uint64_t n = 1);
 
     /** Drop least-recently-used entries beyond the byte bound. */
     void evictLocked();
@@ -144,7 +194,7 @@ class TraceCache
 
     /** Circuit-breaker bookkeeping for one spill attempt's outcome. */
     void noteSpillSuccess();
-    void noteSpillFailure();
+    void noteSpillFailure(Stats &made);
 
     /** Is spill I/O currently worth attempting? */
     bool spillUsable() const;

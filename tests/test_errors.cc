@@ -286,9 +286,7 @@ evalWith(std::vector<std::string> args)
     std::vector<char *> argv;
     for (auto &arg : args)
         argv.push_back(arg.data());
-    int rc = exp::evalMain(static_cast<int>(argv.size()), argv.data());
-    exp::setFaultInjection({});  // never leak a plan into other tests
-    return rc;
+    return exp::evalMain(static_cast<int>(argv.size()), argv.data());
 }
 
 TEST(EvalValidate, CleanExperimentPasses)
@@ -403,7 +401,6 @@ TEST(EvalExitCodes, JunkNumericFlagIsUsageErrorTwo)
                   std::string::npos)
             << flag.front() << ": " << err;
     }
-    sim::SweepRunner::setDefaultJobs(0);
 }
 
 TEST(EvalExitCodes, BaselineDriftIsThree)

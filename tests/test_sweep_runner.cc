@@ -11,8 +11,10 @@
 
 #include <cstdlib>
 
+#include "sim/result_store.hh"
 #include "sim/simulator.hh"
 #include "sim/sweep_runner.hh"
+#include "sim/trace_cache.hh"
 #include "util/logging.hh"
 
 namespace cpe::sim {
@@ -127,6 +129,68 @@ TEST(SweepRunner, JobsResolveFromConstructorEnvAndOverride)
     EXPECT_EQ(SweepRunner::defaultJobs(), 7u);
     ASSERT_EQ(unsetenv("CPESIM_JOBS"), 0);
     EXPECT_GE(SweepRunner::defaultJobs(), 1u);
+}
+
+/** The replay accounting of one scheduled run, for comparisons. */
+std::string
+charged(const ScheduledRun &run)
+{
+    const TraceCache::Stats &work = run.cacheWork;
+    return std::to_string(work.captures) + " capture(s), " +
+           std::to_string(work.replays) + " replay(s), " +
+           std::to_string(work.diskLoads) + " load(s), " +
+           std::to_string(work.instsSkipped) + " skipped";
+}
+
+TEST(SweepRunner, PooledScheduleChargesCacheWorkAsTheSerialOrderDoes)
+{
+    VerboseScope quiet(false);
+    // Two workloads of the grid, then a repeat of its first machine
+    // (which the store answers) and one more run of each stream under
+    // a new machine.
+    auto base = testGrid();
+    base.resize(6);
+    std::vector<SimConfig> configs = base;
+    configs.push_back(base.front());
+    for (std::size_t i = 0; i < base.size(); i += 3) {
+        SimConfig wide = base[i];
+        wide.core.dcache.tech.portWidthBytes = 32;
+        configs.push_back(wide);
+    }
+
+    auto schedule = [&](unsigned jobs, TraceCache &cache) {
+        auto with_cache = configs;
+        for (auto &config : with_cache)
+            config.traceCache = &cache;
+        ResultStore store;
+        ResultStore::setActive(&store);
+        auto runs = SweepRunner(jobs).runSchedule(with_cache);
+        ResultStore::setActive(nullptr);
+        return runs;
+    };
+    TraceCache serial_cache, pooled_cache;
+    auto serial = schedule(1, serial_cache);
+    auto pooled = schedule(4, pooled_cache);
+
+    ASSERT_EQ(pooled.size(), configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        SCOPED_TRACE(i);
+        ASSERT_TRUE(pooled[i].outcome.ok());
+        EXPECT_EQ(pooled[i].outcome.result.statsDump,
+                  serial[i].outcome.result.statsDump);
+        EXPECT_EQ(pooled[i].outcome.attempts, serial[i].outcome.attempts);
+        EXPECT_EQ(charged(pooled[i]), charged(serial[i]));
+    }
+    // The serial order: each workload's first run captures, the rest
+    // replay, and the memo answers the repeat without any cache work.
+    EXPECT_EQ(serial[0].cacheWork.captures, 1u);
+    EXPECT_EQ(serial[1].cacheWork.replays, 1u);
+    EXPECT_EQ(serial[base.size()].outcome.attempts, 0u);
+    EXPECT_EQ(charged(serial[base.size()]), charged(ScheduledRun{}));
+    // Preparing first leaves the cache's own counters where the serial
+    // order leaves them.
+    EXPECT_EQ(pooled_cache.stats().captures, serial_cache.stats().captures);
+    EXPECT_EQ(pooled_cache.stats().replays, serial_cache.stats().replays);
 }
 
 } // namespace

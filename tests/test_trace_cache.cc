@@ -228,6 +228,55 @@ TEST(TraceCache, CapturesOnceThenReplays)
     }
 }
 
+TEST(TraceCache, OnlySampledCapturesBuildAWarmIndex)
+{
+    // Full-detail runs never fast-forward, so their capture builds no
+    // warm-command index.
+    TraceCache full_cache;
+    auto full = full_cache.acquire(cacheConfig("copy"));
+    EXPECT_EQ(full->warmIndexCount(), 0u);
+
+    SimConfig sampled = cacheConfig("copy");
+    sampled.sample.mode = SampleParams::Mode::Periodic;
+    TraceCache sampled_cache;
+    auto trace = sampled_cache.acquire(sampled);
+    EXPECT_EQ(trace->warmIndexCount(), 1u);
+    EXPECT_NE(trace->warmIndex(sampled.core.fetch.icache.lineBytes,
+                               sampled.core.dcache.cache.lineBytes),
+              nullptr);
+    EXPECT_EQ(trace->warmIndexCount(), 1u) << "prebuilt, not rebuilt";
+}
+
+TEST(TraceCache, PreparedCaptureIsChargedToItsFirstRun)
+{
+    TraceCache cache;
+    SimConfig sampled = cacheConfig("copy");
+    sampled.sample.mode = SampleParams::Mode::Periodic;
+
+    TraceCache::Stats start = TraceCache::threadStats();
+    auto prepared = cache.prepare(sampled);
+    EXPECT_EQ(prepared->warmIndexCount(), 1u) << "a sampled prepare";
+    EXPECT_EQ(cache.stats().captures, 1u);
+    TraceCache::Stats before = TraceCache::threadStats();
+    EXPECT_EQ((before - start).captures, 0u)
+        << "the production waits for the run that claims it";
+    EXPECT_EQ(cache.prepare(sampled).get(), prepared.get());
+    EXPECT_EQ(cache.stats().captures, 1u) << "prepared once";
+
+    // The first run takes the capture's place; the next one replays.
+    auto first = cache.acquire(cacheConfig("copy"));
+    TraceCache::Stats claimed = TraceCache::threadStats() - before;
+    EXPECT_EQ(first.get(), prepared.get());
+    EXPECT_EQ(claimed.captures, 1u);
+    EXPECT_EQ(claimed.replays, 0u);
+    EXPECT_EQ(claimed.instsCaptured, prepared->size());
+    cache.acquire(cacheConfig("copy"));
+    TraceCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.captures, 1u);
+    EXPECT_EQ(stats.replays, 1u);
+    EXPECT_EQ((TraceCache::threadStats() - before).replays, 1u);
+}
+
 TEST(TraceCache, EvictsLruButKeepsInFlightReplaysValid)
 {
     // A 1-byte bound forces an eviction as soon as a second capture
