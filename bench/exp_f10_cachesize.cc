@@ -66,11 +66,12 @@ run(exp::Context &ctx)
         double plain = grid.geomeanIpc("1p plain");
         double all = grid.geomeanIpc("1p all");
         double dual = grid.geomeanIpc("2 ports");
+        double miss_pct = 100.0 * miss_sum / ctx.suite().size();
         table.addRow({std::to_string(kib) + " KiB",
                       TextTable::num(plain), TextTable::num(all),
                       TextTable::num(dual),
                       TextTable::num(100.0 * all / dual, 1) + "%",
-                      TextTable::num(100.0 * miss_sum / 6, 1) + "%"});
+                      TextTable::num(miss_pct, 1) + "%"});
     }
     ctx.out() << "Geomean IPC across the suite:\n"
               << table.render() << "\n";

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <regex>
 #include <sstream>
 
@@ -26,7 +27,9 @@
 #include "sim/sweep_runner.hh"
 #include "sim/trace_cache.hh"
 #include "util/fault.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
+#include "util/table.hh"
 
 namespace cpe::exp {
 namespace {
@@ -161,6 +164,42 @@ TEST(Schedule, DerivedColumnsMatchTheGolden)
         auto run = eval({args[0], args[1], args[2], args[3], "--jobs", jobs});
         ASSERT_EQ(run.rc, 0) << run.err;
         EXPECT_EQ(run.out, golden) << "--jobs " << jobs;
+    }
+}
+
+TEST(Schedule, F10MissColumnIsTheMeanOfItsGridRuns)
+{
+    // A one-workload suite: each row's miss% is the mean l1d_miss_rate
+    // of that capacity's `1p all` runs, as its JSON document has them.
+    ScratchDir scratch("cpe_schedule_f10");
+    auto run = eval({"--run", "F10", "--workloads", "copy", "--jobs", "1",
+                     "--out", scratch.dir.string()});
+    ASSERT_EQ(run.rc, 0) << run.err;
+    Json doc = Json::parse(readFile(scratch.dir / "F10.json"), "F10.json");
+
+    std::map<std::string, std::string> cells;  ///< "8 KiB" -> "99.8%"
+    std::istringstream lines(run.out);
+    for (std::string line; std::getline(lines, line);) {
+        std::size_t kib = line.find(" KiB ");
+        if (kib != std::string::npos)
+            cells[line.substr(0, kib + 4)] =
+                line.substr(line.find_last_of(' ') + 1);
+    }
+    for (unsigned size : {8u, 16u, 32u, 64u}) {
+        const std::string key = std::to_string(size) + " KiB";
+        SCOPED_TRACE(key);
+        double sum = 0.0;
+        unsigned count = 0;
+        for (const Json &entry :
+             doc.at("grids").at("kib" + std::to_string(size)).at("runs")
+                 .items()) {
+            if (entry.at("config").asString() != "1p all")
+                continue;
+            sum += entry.at("l1d_miss_rate").asNumber();
+            ++count;
+        }
+        ASSERT_EQ(count, 1u);
+        EXPECT_EQ(cells[key], TextTable::num(100.0 * sum / count, 1) + "%");
     }
 }
 
