@@ -12,7 +12,6 @@
 #include "core/dcache_unit.hh"
 #include "func/captured_trace.hh"
 #include "func/executor.hh"
-#include "obs/metrics.hh"
 #include "obs/tracer.hh"
 #include "sim/simulator.hh"
 #include "sim/sweep_runner.hh"
@@ -134,9 +133,8 @@ BENCHMARK(BM_TimingAllTechniques)->Unit(benchmark::kMillisecond);
 /**
  * The same timing run with event tracing and interval sampling live:
  * the delta against BM_TimingAllTechniques is the cost of *enabled*
- * observability (the ISSUE's acceptance number is about tracing
- * compiled in but disabled, which is BM_TimingAllTechniques itself —
- * every hook is there, branching on a null tracer).  The counting sink
+ * observability.  BM_TimingAllTechniques itself is the disabled cost:
+ * every seam is there, branching on a null probe.  The counting sink
  * discards bytes so the measurement excludes disk speed;
  * trace_mb_per_run is the trace volume one run generates.
  */
@@ -245,39 +243,6 @@ BENCHMARK(BM_SuiteSweep)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()
-    ->MeasureProcessCPUTime();
-
-/**
- * The same grid with the telemetry registry armed (clock reads, pool
- * observer, and per-run histograms live).
- * The kips delta against BM_SuiteSweep at the same job count is the
- * total instrumentation overhead; it should be noise, since a run is
- * milliseconds of simulation against nanoseconds of atomics.
- */
-void
-BM_SuiteSweepMetricsArmed(benchmark::State &state)
-{
-    setVerbose(false);
-    obs::MetricsRegistry::arm();
-    auto configs = sweepGridConfigs();
-    sim::SweepRunner runner(static_cast<unsigned>(state.range(0)));
-    std::uint64_t insts = 0;
-    for (auto _ : state) {
-        auto results = runner.run(configs);
-        for (const auto &result : results)
-            insts += result.insts;
-        benchmark::DoNotOptimize(results.data());
-    }
-    obs::MetricsRegistry::disarm();
-    state.counters["kips"] = benchmark::Counter(
-        static_cast<double>(insts) / 1000.0, benchmark::Counter::kIsRate);
-    state.counters["jobs"] = static_cast<double>(runner.jobs());
-}
-BENCHMARK(BM_SuiteSweepMetricsArmed)
-    ->Arg(1)
-    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->MeasureProcessCPUTime();

@@ -5,46 +5,6 @@
 
 namespace cpe::core {
 
-namespace {
-
-/**
- * Scoped attribution context: tags every trace event and profiler
- * counter touched while alive with the instruction's PC, and restores
- * the machine context (PC 0) on the way out.  Requests entering the
- * unit from the LSQ or commit wrap themselves in one of these; drains,
- * fills and prefetch traffic run outside and stay attributed to PC 0.
- */
-class AttrScope
-{
-  public:
-    AttrScope(obs::Tracer *tracer, obs::Profiler *profiler, Addr pc)
-        : tracer_(pc ? tracer : nullptr),
-          profiler_(pc ? profiler : nullptr)
-    {
-        if (tracer_)
-            tracer_->setPc(pc);
-        if (profiler_)
-            profiler_->setContext(pc);
-    }
-
-    ~AttrScope()
-    {
-        if (tracer_)
-            tracer_->setPc(0);
-        if (profiler_)
-            profiler_->setContext(0);
-    }
-
-    AttrScope(const AttrScope &) = delete;
-    AttrScope &operator=(const AttrScope &) = delete;
-
-  private:
-    obs::Tracer *tracer_;
-    obs::Profiler *profiler_;
-};
-
-} // namespace
-
 const char *
 loadSourceName(LoadSource source)
 {
@@ -145,27 +105,14 @@ DCacheUnit::DCacheUnit(const DCacheParams &params,
 }
 
 void
-DCacheUnit::setTracer(obs::Tracer *tracer)
+DCacheUnit::setProbe(obs::Probe *probe)
 {
-    tracer_ = tracer;
-    ports_.setTracer(tracer);
-    storeBuffer_.setTracer(tracer);
-    lineBuffers_.setTracer(tracer);
-    mshrs_.setTracer(tracer);
-    l1d_.setTracer(tracer);
-}
-
-void
-DCacheUnit::setProfiler(obs::Profiler *profiler)
-{
-    profiler_ = profiler;
-    ports_.setProfiler(profiler);
-    storeBuffer_.setProfiler(profiler);
-    lineBuffers_.setProfiler(profiler);
-    mshrs_.setProfiler(profiler);
-    l1d_.setProfiler(profiler);
-    if (profiler)
-        profiler->initSets(l1d_.params().sets());
+    probe_ = probe;
+    ports_.setProbe(probe);
+    storeBuffer_.setProbe(probe);
+    lineBuffers_.setProbe(probe);
+    mshrs_.setProbe(probe);
+    l1d_.setProbe(probe);
 }
 
 unsigned
@@ -202,7 +149,7 @@ DCacheUnit::tryAcquireAccess(Addr addr, Cycle now)
 DCacheUnit::LoadResult
 DCacheUnit::tryLoad(Addr addr, unsigned size, Cycle now, Addr pc)
 {
-    AttrScope attribution(tracer_, profiler_, pc);
+    obs::AttrScope attribution(probe_, pc);
     LoadResult result;
     Addr line_addr = l1d_.lineAddr(addr);
 
@@ -212,8 +159,8 @@ DCacheUnit::tryLoad(Addr addr, unsigned size, Cycle now, Addr pc)
           case Coverage::Full:
             ++loadsForwarded;
             ++storeBuffer_.forwards;
-            if (profiler_)
-                profiler_->onLoadForwarded();
+            if (probe_)
+                probe_->event(obs::EventKind::LoadForwarded);
             result.accepted = true;
             result.ready = now + 1;
             result.source = LoadSource::StoreBufferFwd;
@@ -223,8 +170,8 @@ DCacheUnit::tryLoad(Addr addr, unsigned size, Cycle now, Addr pc)
             // flag the entry and retry once it drains.
             ++loadRejectPartial;
             ++storeBuffer_.partialBlocks;
-            if (profiler_)
-                profiler_->onPartialStall();
+            if (probe_)
+                probe_->event(obs::EventKind::PartialStall);
             storeBuffer_.requestDrain(addr);
             return result;
           case Coverage::None:
@@ -235,8 +182,8 @@ DCacheUnit::tryLoad(Addr addr, unsigned size, Cycle now, Addr pc)
     // 2. Line buffers: bytes captured by earlier loads (load-all).
     if (lineBuffers_.lookup(addr, size)) {
         ++loadsLineBuffer;
-        if (profiler_)
-            profiler_->onLoadLineBuffer();
+        if (probe_)
+            probe_->event(obs::EventKind::LoadLineBuffer);
         result.accepted = true;
         result.ready = now + 1;
         result.source = LoadSource::LineBuffer;
@@ -248,8 +195,8 @@ DCacheUnit::tryLoad(Addr addr, unsigned size, Cycle now, Addr pc)
     if (mem::Mshr *inflight = mshrs_.find(line_addr)) {
         if (!mshrs_.addTarget(*inflight, false)) {
             ++loadRejectMshr;
-            if (profiler_)
-                profiler_->onMshrWait();
+            if (probe_)
+                probe_->event(obs::EventKind::MshrWait);
             return result;
         }
         if (inflight->prefetch) {
@@ -257,8 +204,8 @@ DCacheUnit::tryLoad(Addr addr, unsigned size, Cycle now, Addr pc)
             inflight->prefetch = false;
         }
         ++loadsMissMerged;
-        if (profiler_)
-            profiler_->onLoadMissMerged();
+        if (probe_)
+            probe_->event(obs::EventKind::LoadMissMerged);
         result.accepted = true;
         result.ready = inflight->readyCycle + params_.hitLatency;
         result.source = LoadSource::Miss;
@@ -271,8 +218,8 @@ DCacheUnit::tryLoad(Addr addr, unsigned size, Cycle now, Addr pc)
     if (mshrs_.full() && !l1d_.probe(addr)) {
         ++loadRejectMshr;
         ++mshrs_.fullRejects;
-        if (profiler_)
-            profiler_->onMshrWait();
+        if (probe_)
+            probe_->event(obs::EventKind::MshrWait);
         return result;
     }
     if (!tryAcquireAccess(addr, now)) {
@@ -282,8 +229,8 @@ DCacheUnit::tryLoad(Addr addr, unsigned size, Cycle now, Addr pc)
 
     if (l1d_.access(addr, false)) {
         ++loadsCacheHit;
-        if (profiler_)
-            profiler_->onLoadCacheHit();
+        if (probe_)
+            probe_->event(obs::EventKind::LoadCacheHit);
         result.accepted = true;
         result.ready = now + params_.hitLatency;
         result.source = LoadSource::CacheHit;
@@ -302,8 +249,8 @@ DCacheUnit::tryLoad(Addr addr, unsigned size, Cycle now, Addr pc)
             auto swap = l1d_.fill(line_addr, victim_dirty);
             onEviction(swap, now);
             ++loadsCacheHit;
-            if (profiler_)
-                profiler_->onLoadCacheHit();
+            if (probe_)
+                probe_->event(obs::EventKind::LoadCacheHit);
             result.accepted = true;
             result.ready = now + params_.hitLatency + 1;
             result.source = LoadSource::CacheHit;
@@ -317,15 +264,15 @@ DCacheUnit::tryLoad(Addr addr, unsigned size, Cycle now, Addr pc)
     //    discovering the miss, as in real tag arrays).
     if (mshrs_.full()) {
         ++loadRejectMshr;
-        if (profiler_)
-            profiler_->onMshrWait();
+        if (probe_)
+            probe_->event(obs::EventKind::MshrWait);
         return result;
     }
     Cycle data_at_l1 = nextLevel_->fetchLine(line_addr, now + 1);
     mshrs_.allocate(line_addr, data_at_l1, false);
     ++loadsMiss;
-    if (profiler_)
-        profiler_->onLoadMiss();
+    if (probe_)
+        probe_->event(obs::EventKind::LoadMiss);
     result.accepted = true;
     result.ready = data_at_l1 + params_.hitLatency;
     result.source = LoadSource::Miss;
@@ -346,7 +293,7 @@ DCacheUnit::tryLoad(Addr addr, unsigned size, Cycle now, Addr pc)
 bool
 DCacheUnit::tryStore(Addr addr, unsigned size, Cycle now, Addr pc)
 {
-    AttrScope attribution(tracer_, profiler_, pc);
+    obs::AttrScope attribution(probe_, pc);
     Addr line_addr = l1d_.lineAddr(addr);
 
     if (storeBuffer_.enabled()) {
@@ -355,8 +302,8 @@ DCacheUnit::tryStore(Addr addr, unsigned size, Cycle now, Addr pc)
             return false;
         }
         ++storesToBuffer;
-        if (profiler_)
-            profiler_->onStore();
+        if (probe_)
+            probe_->event(obs::EventKind::Store);
         // Keep line buffers coherent: patch or invalidate now so they
         // can never return stale bytes once the entry drains.
         lineBuffers_.onStore(addr, size);
@@ -380,8 +327,8 @@ DCacheUnit::tryStore(Addr addr, unsigned size, Cycle now, Addr pc)
         return false;
     }
     ++storesDirect;
-    if (profiler_)
-        profiler_->onStore();
+    if (probe_)
+        probe_->event(obs::EventKind::Store);
     lineBuffers_.onStore(addr, size);
     return true;
 }
@@ -466,9 +413,9 @@ DCacheUnit::processFill(const mem::Mshr &fill, Cycle now)
     }
     auto result = l1d_.fill(fill.lineAddr, fill.writeIntent);
     ++fills;
-    if (tracer_)
-        tracer_->record(now, obs::EventKind::Fill, fill.lineAddr,
-                        fill.writeIntent);
+    if (probe_)
+        probe_->event(obs::EventKind::Fill, fill.lineAddr,
+                      fill.writeIntent);
     onEviction(result, now);
     // The arriving line streams past the processor: with line buffers
     // enabled it is captured whole (fill register behaviour), except
@@ -569,8 +516,8 @@ DCacheUnit::drainAll(Cycle now)
     // Threshold-policy buffers would otherwise hold entries forever.
     storeBuffer_.requestDrainAll();
     while (busy()) {
-        if (tracer_)
-            tracer_->advanceTo(cycle);
+        if (probe_)
+            probe_->advanceTo(cycle);
         beginCycle(cycle);
         endCycle(cycle);
         ++cycle;

@@ -143,16 +143,11 @@ class DCacheUnit
     mem::MshrFile &mshrs() { return mshrs_; }
 
     /**
-     * Attach the event tracer to the whole port subsystem (ports,
-     * store buffer, line buffers, MSHRs, L1D tags).  Null detaches.
+     * Attach the observability probe to the whole port subsystem
+     * (ports, store buffer, line buffers, MSHRs, L1D tags).  Null
+     * detaches.
      */
-    void setTracer(obs::Tracer *tracer);
-
-    /**
-     * Attach the attribution profiler to the whole port subsystem and
-     * size its per-set counters to this L1D.  Null detaches.
-     */
-    void setProfiler(obs::Profiler *profiler);
+    void setProbe(obs::Probe *probe);
 
     stats::StatGroup &statGroup() { return statGroup_; }
 
@@ -235,8 +230,7 @@ class DCacheUnit
     std::vector<Cycle> bankBusyUntil_;
     /** Victim-cache FIFO: line address + dirty bit. */
     std::deque<std::pair<Addr, bool>> victims_;
-    obs::Tracer *tracer_ = nullptr;
-    obs::Profiler *profiler_ = nullptr;
+    obs::Probe *probe_ = nullptr;
     stats::StatGroup statGroup_;
 };
 

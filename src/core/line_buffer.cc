@@ -64,24 +64,22 @@ LineBufferFile::lookup(Addr addr, unsigned size)
     Addr line_addr = alignDown(addr, lineBytes_);
     Buffer *buffer = find(line_addr);
     if (!buffer) {
-        if (profiler_)
-            profiler_->onLbLookup(false);
+        if (probe_)
+            probe_->event(obs::EventKind::LbMiss);
         return false;
     }
     unsigned offset = static_cast<unsigned>(addr - line_addr);
     CPE_ASSERT(offset + size <= lineBytes_, "load crosses a line");
     std::uint64_t want = mask(size) << offset;
     if ((buffer->byteMask & want) != want) {
-        if (profiler_)
-            profiler_->onLbLookup(false);
+        if (probe_)
+            probe_->event(obs::EventKind::LbMiss);
         return false;
     }
     buffer->lastUse = ++useClock_;
     ++hits;
-    if (tracer_)
-        tracer_->recordNow(obs::EventKind::LbHit, line_addr);
-    if (profiler_)
-        profiler_->onLbLookup(true);
+    if (probe_)
+        probe_->event(obs::EventKind::LbHit, line_addr);
     return true;
 }
 
@@ -111,10 +109,9 @@ LineBufferFile::capture(Addr addr, unsigned width,
         }
         if (victim->valid) {
             ++replacements;
-            if (tracer_)
-                tracer_->recordNow(obs::EventKind::LbEvict,
-                                   victim->lineAddr,
-                                   obs::LbEvictReplaced);
+            if (probe_)
+                probe_->event(obs::EventKind::LbEvict, victim->lineAddr,
+                              obs::LbEvictReplaced);
         }
         victim->valid = true;
         victim->lineAddr = line_addr;
@@ -124,9 +121,9 @@ LineBufferFile::capture(Addr addr, unsigned width,
     buffer->byteMask |= new_bytes;
     buffer->lastUse = ++useClock_;
     ++captures;
-    if (tracer_)
-        tracer_->recordNow(obs::EventKind::LbFill, line_addr,
-                           popCount(new_bytes));
+    if (probe_)
+        probe_->event(obs::EventKind::LbFill, line_addr,
+                      popCount(new_bytes));
 }
 
 void
@@ -142,9 +139,9 @@ LineBufferFile::onStore(Addr addr, unsigned size)
         buffer->valid = false;
         buffer->byteMask = 0;
         ++storeInvals;
-        if (tracer_)
-            tracer_->recordNow(obs::EventKind::LbEvict, line_addr,
-                               obs::LbEvictStore);
+        if (probe_)
+            probe_->event(obs::EventKind::LbEvict, line_addr,
+                          obs::LbEvictStore);
         return;
     }
     unsigned offset = static_cast<unsigned>(addr - line_addr);
@@ -159,9 +156,9 @@ LineBufferFile::invalidateLine(Addr line_addr)
         buffer->valid = false;
         buffer->byteMask = 0;
         ++lineInvals;
-        if (tracer_)
-            tracer_->recordNow(obs::EventKind::LbEvict, line_addr,
-                               obs::LbEvictLineInval);
+        if (probe_)
+            probe_->event(obs::EventKind::LbEvict, line_addr,
+                          obs::LbEvictLineInval);
     }
 }
 
@@ -171,9 +168,9 @@ LineBufferFile::flushAll()
     if (!enabled())
         return;
     for (auto &buffer : buffers_) {
-        if (buffer.valid && tracer_)
-            tracer_->recordNow(obs::EventKind::LbEvict, buffer.lineAddr,
-                               obs::LbEvictFlush);
+        if (buffer.valid && probe_)
+            probe_->event(obs::EventKind::LbEvict, buffer.lineAddr,
+                          obs::LbEvictFlush);
         buffer.valid = false;
         buffer.byteMask = 0;
     }

@@ -24,8 +24,7 @@
 #include <vector>
 
 #include "core/port_config.hh"
-#include "obs/profiler.hh"
-#include "obs/tracer.hh"
+#include "obs/probe.hh"
 #include "stats/stats.hh"
 #include "util/types.hh"
 
@@ -82,12 +81,8 @@ class LineBufferFile
 
     stats::StatGroup &statGroup() { return statGroup_; }
 
-    /** Attach the event tracer (null = tracing off, the default).
-     *  Events are stamped with the tracer's tracked current cycle. */
-    void setTracer(obs::Tracer *tracer) { tracer_ = tracer; }
-
-    /** Attach the attribution profiler (null = off, the default). */
-    void setProfiler(obs::Profiler *profiler) { profiler_ = profiler; }
+    /** Attach the observability probe (null = off, the default). */
+    void setProbe(obs::Probe *probe) { probe_ = probe; }
 
     stats::Scalar hits;          ///< loads serviced from a buffer
     stats::Scalar lookups;       ///< all load lookups
@@ -115,8 +110,7 @@ class LineBufferFile
     LineBufferWritePolicy writePolicy_;
     std::vector<Buffer> buffers_;
     std::uint64_t useClock_ = 0;
-    obs::Tracer *tracer_ = nullptr;
-    obs::Profiler *profiler_ = nullptr;
+    obs::Probe *probe_ = nullptr;
     stats::StatGroup statGroup_;
 };
 

@@ -33,19 +33,14 @@ PortArbiter::tryAcquire(Cycle now, unsigned cycles)
         if (until <= now) {
             until = now + cycles;
             ++grants;
-            if (tracer_)
-                tracer_->record(now, obs::EventKind::PortGrant, 0,
-                                cycles);
-            if (profiler_)
-                profiler_->onPortGrant();
+            if (probe_)
+                probe_->event(obs::EventKind::PortGrant, 0, cycles);
             return true;
         }
     }
     ++rejections;
-    if (tracer_)
-        tracer_->record(now, obs::EventKind::PortConflict);
-    if (profiler_)
-        profiler_->onPortConflict();
+    if (probe_)
+        probe_->event(obs::EventKind::PortConflict);
     return false;
 }
 

@@ -14,8 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/profiler.hh"
-#include "obs/tracer.hh"
+#include "obs/probe.hh"
 #include "stats/stats.hh"
 #include "util/types.hh"
 
@@ -49,11 +48,8 @@ class PortArbiter
 
     stats::StatGroup &statGroup() { return statGroup_; }
 
-    /** Attach the event tracer (null = tracing off, the default). */
-    void setTracer(obs::Tracer *tracer) { tracer_ = tracer; }
-
-    /** Attach the attribution profiler (null = off, the default). */
-    void setProfiler(obs::Profiler *profiler) { profiler_ = profiler; }
+    /** Attach the observability probe (null = off, the default). */
+    void setProbe(obs::Probe *probe) { probe_ = probe; }
 
     stats::Scalar grants;       ///< successful acquisitions
     stats::Scalar rejections;   ///< acquisitions refused (all busy)
@@ -63,8 +59,7 @@ class PortArbiter
   private:
     /** First cycle at or after which port @p port is free. */
     std::vector<Cycle> busyUntil_;
-    obs::Tracer *tracer_ = nullptr;
-    obs::Profiler *profiler_ = nullptr;
+    obs::Probe *probe_ = nullptr;
     stats::StatGroup statGroup_;
 };
 

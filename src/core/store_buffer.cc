@@ -79,16 +79,15 @@ StoreBuffer::insert(Addr addr, unsigned size, Cycle now)
             entry->byteMask |= rangeMask(offset, size);
             ++combines;
             ++inserts;
-            if (tracer_)
-                tracer_->record(now, obs::EventKind::SbMerge, line_addr,
-                                size);
+            if (probe_)
+                probe_->event(obs::EventKind::SbMerge, line_addr, size);
             return true;
         }
     }
     if (full()) {
         ++fullRejects;
-        if (profiler_)
-            profiler_->onSbFullStall();
+        if (probe_)
+            probe_->event(obs::EventKind::SbFull);
         return false;
     }
     Entry entry;
@@ -97,8 +96,8 @@ StoreBuffer::insert(Addr addr, unsigned size, Cycle now)
     entry.allocCycle = now;
     fifo_.push_back(entry);
     ++inserts;
-    if (tracer_)
-        tracer_->record(now, obs::EventKind::SbInsert, line_addr, size);
+    if (probe_)
+        probe_->event(obs::EventKind::SbInsert, line_addr, size);
     return true;
 }
 
@@ -211,9 +210,9 @@ StoreBuffer::drainOne(unsigned port_width, Cycle now)
         fifo_.erase(fifo_.begin() +
                     static_cast<std::deque<Entry>::difference_type>(pick));
     }
-    if (tracer_)
-        tracer_->record(now, obs::EventKind::SbDrain, op.lineAddr,
-                        popCount(op.validMask), op.entryFinished);
+    if (probe_)
+        probe_->event(obs::EventKind::SbDrain, op.lineAddr,
+                      popCount(op.validMask), op.entryFinished);
     return op;
 }
 
@@ -240,14 +239,14 @@ StoreBuffer::restore(const DrainOp &op, Cycle now)
     // re-create one at the FIFO front to preserve age order.
     if (Entry *entry = find(op.lineAddr)) {
         entry->byteMask |= op.validMask;
-        if (tracer_)
-            tracer_->record(now, obs::EventKind::SbRestore, op.lineAddr,
-                            popCount(op.validMask), 0);
+        if (probe_)
+            probe_->event(obs::EventKind::SbRestore, op.lineAddr,
+                          popCount(op.validMask), 0);
         return;
     }
-    if (tracer_)
-        tracer_->record(now, obs::EventKind::SbRestore, op.lineAddr,
-                        popCount(op.validMask), 1);
+    if (probe_)
+        probe_->event(obs::EventKind::SbRestore, op.lineAddr,
+                      popCount(op.validMask), 1);
     Entry entry;
     entry.lineAddr = op.lineAddr;
     entry.byteMask = op.validMask;

@@ -17,8 +17,7 @@
 #include <deque>
 #include <string>
 
-#include "obs/profiler.hh"
-#include "obs/tracer.hh"
+#include "obs/probe.hh"
 #include "stats/stats.hh"
 #include "util/types.hh"
 
@@ -136,11 +135,8 @@ class StoreBuffer
 
     stats::StatGroup &statGroup() { return statGroup_; }
 
-    /** Attach the event tracer (null = tracing off, the default). */
-    void setTracer(obs::Tracer *tracer) { tracer_ = tracer; }
-
-    /** Attach the attribution profiler (null = off, the default). */
-    void setProfiler(obs::Profiler *profiler) { profiler_ = profiler; }
+    /** Attach the observability probe (null = off, the default). */
+    void setProbe(obs::Probe *probe) { probe_ = probe; }
 
     stats::Scalar inserts;        ///< stores accepted
     stats::Scalar combines;       ///< stores merged into a live entry
@@ -161,8 +157,7 @@ class StoreBuffer
     unsigned lineBytes_;
     bool combining_;
     std::deque<Entry> fifo_;
-    obs::Tracer *tracer_ = nullptr;
-    obs::Profiler *profiler_ = nullptr;
+    obs::Probe *probe_ = nullptr;
     stats::StatGroup statGroup_;
 };
 

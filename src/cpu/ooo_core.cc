@@ -65,47 +65,17 @@ OooCore::commit(Cycle now)
         if (!head) {
             if (n == 0) {
                 ++robEmptyCycles;
-                if (tracer_)
-                    tracer_->record(now, obs::EventKind::CommitStall, 0,
-                                    obs::StallRobEmpty);
-                if (profiler_)
-                    profiler_->onRobEmpty();
+                commitStall(0, 0, obs::StallRobEmpty);
             }
             return;
         }
-        if (!head->done || head->doneCycle > now) {
+        // The head commits once done; a store also needs its data.
+        if (!head->done || head->doneCycle > now ||
+            (head->isStore() &&
+             !rob_.producerDone(head->srcProducer[1], now))) {
             if (n == 0) {
                 ++commitBlockedCycles;
-                if (tracer_) {
-                    tracer_->setPc(head->di.pc);
-                    tracer_->record(now, obs::EventKind::CommitStall, 0,
-                                    obs::StallHeadIncomplete);
-                    tracer_->setPc(0);
-                }
-                if (profiler_) {
-                    profiler_->setContext(head->di.pc);
-                    profiler_->onCommitStallHead();
-                    profiler_->setContext(0);
-                }
-            }
-            return;
-        }
-        // A store additionally needs its data computed to commit.
-        if (head->isStore() &&
-            !rob_.producerDone(head->srcProducer[1], now)) {
-            if (n == 0) {
-                ++commitBlockedCycles;
-                if (tracer_) {
-                    tracer_->setPc(head->di.pc);
-                    tracer_->record(now, obs::EventKind::CommitStall, 0,
-                                    obs::StallHeadIncomplete);
-                    tracer_->setPc(0);
-                }
-                if (profiler_) {
-                    profiler_->setContext(head->di.pc);
-                    profiler_->onCommitStallHead();
-                    profiler_->setContext(0);
-                }
+                commitStall(head->di.pc, 0, obs::StallHeadIncomplete);
             }
             return;
         }
@@ -114,18 +84,8 @@ OooCore::commit(Cycle now)
             if (!dcache_.tryStore(head->di.memAddr, head->di.memSize,
                                   now, head->di.pc)) {
                 ++storeCommitStalls;
-                if (tracer_) {
-                    tracer_->setPc(head->di.pc);
-                    tracer_->record(now, obs::EventKind::CommitStall,
-                                    head->di.memAddr,
-                                    obs::StallStoreReject);
-                    tracer_->setPc(0);
-                }
-                if (profiler_) {
-                    profiler_->setContext(head->di.pc);
-                    profiler_->onCommitStallStore();
-                    profiler_->setContext(0);
-                }
+                commitStall(head->di.pc, head->di.memAddr,
+                            obs::StallStoreReject);
                 return;
             }
             lsq_.commitStore(head);
@@ -179,6 +139,15 @@ OooCore::commit(Cycle now)
         if (halted_)
             return;
     }
+}
+
+void
+OooCore::commitStall(Addr pc, Addr addr, std::uint64_t cause)
+{
+    if (!probe_)
+        return;
+    obs::AttrScope attribution(probe_, pc);
+    probe_->event(obs::EventKind::CommitStall, addr, cause);
 }
 
 void
@@ -336,8 +305,8 @@ OooCore::runDetailed()
 {
     lastCommitCycle_ = now_;
     while (!halted_) {
-        if (tracer_)
-            tracer_->advanceTo(now_);
+        if (probe_)
+            probe_->advanceTo(now_);
         robOccupancy.sample(static_cast<std::int64_t>(rob_.size()));
         dcache_.beginCycle(now_);
         std::uint64_t committed_before = committed_.value();
@@ -345,9 +314,9 @@ OooCore::runDetailed()
         // A measurement reset can shrink the counter mid-commit; the
         // strict > guard keeps the event honest across that
         // discontinuity.
-        if (tracer_ && committed_.value() > committed_before)
-            tracer_->record(now_, obs::EventKind::Commit, 0,
-                            committed_.value() - committed_before);
+        if (probe_ && committed_.value() > committed_before)
+            probe_->event(obs::EventKind::Commit, 0,
+                          committed_.value() - committed_before);
         if (boundaryExit_) {
             // The boundary hook cut the cycle short; the later stages
             // never run and now_ stays put — the phase engine owns the
@@ -390,8 +359,8 @@ Cycle
 OooCore::finishRun()
 {
     now_ = dcache_.drainAll(now_);
-    if (tracer_)
-        tracer_->advanceTo(now_);
+    if (probe_)
+        probe_->advanceTo(now_);
     if (sampler_)
         sampler_->finalize(now_);
     return now_;
@@ -407,11 +376,11 @@ OooCore::run()
 void
 OooCore::beginMeasurement(Cycle now)
 {
-    // Old warm-up-complete order: statistics first, then the profiler,
+    // Old warm-up-complete order: statistics first, then the profile,
     // then the cycle rebase.
     statGroup_.resetAll();
-    if (profiler_)
-        profiler_->reset();
+    if (probe_)
+        probe_->beginMeasurement();
     measureStartCycle_ = now;
     measuredCycles_ = 0;
     measuring_ = true;

@@ -104,7 +104,7 @@ class OooCore
 
     /**
      * End-of-run epilogue: drain the memory subsystem (post-HALT
-     * stores), advance the tracer, finalize the sampler.
+     * stores), advance the probe, finalize the sampler.
      * @return total simulated cycles.
      */
     Cycle finishRun();
@@ -130,8 +130,8 @@ class OooCore
 
     /**
      * Begin the measurement region at @p now: every statistic
-     * (including the committed counter) resets, as does the attached
-     * profiler, so dumped stats and ipc() describe the region from
+     * (including the committed counter) resets, as does the probe's
+     * profile, so dumped stats and ipc() describe the region from
      * here on.  This is the old warm-up-complete transition; callers
      * that warmed up via a boundary hook invoke it there.  The shared
      * memory-hierarchy statistics are the caller's to reset (the core
@@ -207,28 +207,15 @@ class OooCore
     void setPipeTrace(std::ostream *out) { pipeTrace_ = out; }
 
     /**
-     * Attach the structured event tracer (null = off, the default).
-     * Propagates to the D-cache port subsystem; the core itself emits
-     * commit / commit_stall events and keeps the tracer's tracked
-     * cycle current.  Tracing must never perturb timing: hooks only
-     * read simulation state.
-     */
-    void setTracer(obs::Tracer *tracer)
-    {
-        tracer_ = tracer;
-        dcache_.setTracer(tracer);
-    }
-
-    /**
-     * Attach the stall-attribution profiler (null = off, the default).
+     * Attach the observability probe (null = off, the default).
      * Propagates to the D-cache port subsystem; the core itself
-     * attributes commit stalls to the ROB-head PC.  Same non-perturbing
-     * contract as the tracer.
+     * reports commit and commit-stall events, attributes stalls to the
+     * ROB-head PC, and keeps the probe's cycle current.
      */
-    void setProfiler(obs::Profiler *profiler)
+    void setProbe(obs::Probe *probe)
     {
-        profiler_ = profiler;
-        dcache_.setProfiler(profiler);
+        probe_ = probe;
+        dcache_.setProbe(probe);
     }
 
     /**
@@ -286,6 +273,8 @@ class OooCore
 
   private:
     void commit(Cycle now);
+    /** Report a cycle commit made no progress (obs::Stall* cause). */
+    void commitStall(Addr pc, Addr addr, std::uint64_t cause);
     void issue(Cycle now);
     void dispatch(Cycle now);
 
@@ -309,8 +298,7 @@ class OooCore
     bool halted_ = false;
     const char *phaseLabel_ = "run";
     std::ostream *pipeTrace_ = nullptr;
-    obs::Tracer *tracer_ = nullptr;
-    obs::Profiler *profiler_ = nullptr;
+    obs::Probe *probe_ = nullptr;
     stats::IntervalSampler *sampler_ = nullptr;
     std::uint64_t totalCommitted_ = 0;
 

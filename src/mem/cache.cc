@@ -63,15 +63,15 @@ Cache::access(Addr addr, bool write)
         if (write)
             line.dirty = true;
         ++hits;
-        if (profiler_)
-            profiler_->onSetAccess(loc.set, true);
+        if (probe_)
+            probe_->event(obs::EventKind::SetAccess, addr, true);
         return true;
     }
     int way = findWay(loc.set, loc.tag);
     if (way < 0) {
         ++misses;
-        if (profiler_)
-            profiler_->onSetAccess(loc.set, false);
+        if (probe_)
+            probe_->event(obs::EventKind::SetAccess, addr, false);
         return false;
     }
     std::size_t index = loc.set * params_.assoc + static_cast<unsigned>(way);
@@ -80,8 +80,8 @@ Cache::access(Addr addr, bool write)
     if (write)
         line.dirty = true;
     ++hits;
-    if (profiler_)
-        profiler_->onSetAccess(loc.set, true);
+    if (probe_)
+        probe_->event(obs::EventKind::SetAccess, addr, true);
     lastHitTag_ = loc.tag;
     lastHitLine_ = index;
     return true;
@@ -167,11 +167,9 @@ Cache::fill(Addr addr, bool dirty)
         ++evictions;
         if (line.dirty)
             ++writebacks;
-        if (tracer_)
-            tracer_->recordNow(obs::EventKind::CacheEvict,
-                               result.evictedAddr, result.evictedDirty);
-        if (profiler_)
-            profiler_->onSetEviction(set);
+        if (probe_)
+            probe_->event(obs::EventKind::CacheEvict, result.evictedAddr,
+                          result.evictedDirty);
     }
     line.valid = true;
     line.dirty = dirty;

@@ -16,8 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/profiler.hh"
-#include "obs/tracer.hh"
+#include "obs/probe.hh"
 #include "stats/stats.hh"
 #include "util/random.hh"
 #include "util/types.hh"
@@ -90,9 +89,8 @@ class Cache
     /**
      * Warm-only update path (fast-forward phases of a sampled run):
      * the same state transitions as access() followed — on a miss —
-     * by a write-allocate fill(), but with no statistics, tracer, or
-     * profiler activity, so warming leaves every observable counter
-     * untouched.  The displaced victim (when any) is reported through
+     * by a write-allocate fill(), but with no statistics or probe
+     * events, so warming leaves every observable counter untouched.  The displaced victim (when any) is reported through
      * @p evicted so the caller can keep the next level's dirty state
      * coherent.
      * @return true on hit.
@@ -121,12 +119,8 @@ class Cache
     /** Statistics group (hits/misses/evictions). */
     stats::StatGroup &statGroup() { return statGroup_; }
 
-    /** Attach the event tracer (null = tracing off, the default);
-     *  evictions are stamped with the tracer's tracked cycle. */
-    void setTracer(obs::Tracer *tracer) { tracer_ = tracer; }
-
-    /** Attach the attribution profiler (null = off, the default). */
-    void setProfiler(obs::Profiler *profiler) { profiler_ = profiler; }
+    /** Attach the observability probe (null = off, the default). */
+    void setProbe(obs::Probe *probe) { probe_ = probe; }
 
     /** Raw counters, exposed for formulas in owning units. */
     stats::Scalar hits;
@@ -187,8 +181,7 @@ class Cache
     Addr lastHitTag_ = NoTag;
     std::size_t lastHitLine_ = 0;  ///< index into lines_
     Rng rng_;
-    obs::Tracer *tracer_ = nullptr;
-    obs::Profiler *profiler_ = nullptr;
+    obs::Probe *probe_ = nullptr;
     stats::StatGroup statGroup_;
 };
 

@@ -47,11 +47,9 @@ MshrFile::allocate(Addr line_addr, Cycle ready, bool write_intent,
     live_.push_back(
         Mshr{line_addr, ready, prefetch ? 0u : 1u, write_intent,
              prefetch});
-    if (tracer_)
-        tracer_->recordNow(obs::EventKind::MshrAlloc, line_addr,
-                           write_intent, prefetch);
-    if (profiler_)
-        profiler_->onMshrAlloc();
+    if (probe_)
+        probe_->event(obs::EventKind::MshrAlloc, line_addr, write_intent,
+                      prefetch);
     return live_.back();
 }
 
@@ -73,9 +71,8 @@ MshrFile::takeReady(Cycle now)
     auto it = live_.begin();
     while (it != live_.end()) {
         if (it->readyCycle <= now) {
-            if (tracer_)
-                tracer_->record(now, obs::EventKind::MshrRetire,
-                                it->lineAddr);
+            if (probe_)
+                probe_->event(obs::EventKind::MshrRetire, it->lineAddr);
             ready.push_back(*it);
             it = live_.erase(it);
         } else {

@@ -12,8 +12,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "obs/profiler.hh"
-#include "obs/tracer.hh"
+#include "obs/probe.hh"
 #include "stats/stats.hh"
 #include "util/types.hh"
 
@@ -76,11 +75,8 @@ class MshrFile
 
     stats::StatGroup &statGroup() { return statGroup_; }
 
-    /** Attach the event tracer (null = tracing off, the default). */
-    void setTracer(obs::Tracer *tracer) { tracer_ = tracer; }
-
-    /** Attach the attribution profiler (null = off, the default). */
-    void setProfiler(obs::Profiler *profiler) { profiler_ = profiler; }
+    /** Attach the observability probe (null = off, the default). */
+    void setProbe(obs::Probe *probe) { probe_ = probe; }
 
     stats::Scalar allocations;
     stats::Scalar merges;       ///< secondary misses merged
@@ -90,8 +86,7 @@ class MshrFile
     unsigned entries_;
     unsigned maxTargets_;
     std::vector<Mshr> live_;
-    obs::Tracer *tracer_ = nullptr;
-    obs::Profiler *profiler_ = nullptr;
+    obs::Probe *probe_ = nullptr;
     stats::StatGroup statGroup_;
 };
 

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "util/bits.hh"
 #include "util/table.hh"
 
 namespace cpe::obs {
@@ -79,6 +80,11 @@ emitCounters(Json &out, const PcCounters &counters, bool keep_zero)
 
 } // namespace
 
+Profiler::Profiler(unsigned sets, unsigned line_bytes)
+    : sets_(sets), setShift_(floorLog2(line_bytes))
+{
+}
+
 void
 Profiler::reset()
 {
@@ -86,8 +92,9 @@ Profiler::reset()
     pcs_.clear();
     std::fill(sets_.begin(), sets_.end(), SetCounters{});
     robEmptyCycles_ = 0;
-    // The memoized bucket pointer may dangle after clear(): re-resolve.
-    cur_ = contextPc_ ? &pcs_[contextPc_] : &none_;
+    // The memoized bucket pointer dangles after clear(): forget it.
+    curPc_ = 0;
+    cur_ = &none_;
 }
 
 PcCounters

@@ -6,19 +6,13 @@
  * commit stalls by cause) plus per-cache-set access/miss/eviction
  * counters.
  *
- * Same contract as obs::Tracer: components carry an `obs::Profiler *`
- * that is null unless profiling was requested, every hook is one
- * branch on that pointer, and hooks only *read* model state — a
- * profiled run produces byte-identical results (locked down by
- * tests/test_obs_profile.cc, which also asserts that the per-PC sums
- * equal the aggregate StatGroup totals exactly).
- *
- * Attribution works through a *context PC*: the D-cache unit (and the
- * commit stage) set the PC of the instruction being handled before
- * touching the memory subsystem and clear it afterwards, so hooks deep
- * inside the port arbiter or line buffers never need to know which
- * instruction drove them.  Context PC 0 is the machine itself —
- * store-buffer drains, fills, prefetches — and gets its own bucket.
+ * Components report to it through their obs::Probe (obs/probe.hh,
+ * which also states the non-perturbing contract).  The probe carries
+ * the attribution PC: the D-cache unit and the commit stage set the PC
+ * of the instruction being handled, so seams deep inside the port
+ * arbiter or line buffers never need to know which instruction drove
+ * them.  PC 0 is the machine itself — store-buffer drains, fills,
+ * prefetches — and gets its own bucket.
  */
 
 #ifndef CPE_OBS_PROFILER_HH
@@ -92,70 +86,34 @@ struct SetCounters
 class Profiler
 {
   public:
-    Profiler() = default;
+    /**
+     * A profiler of an L1D with @p sets sets of @p line_bytes lines
+     * (both powers of two), which size the per-set counters.
+     */
+    Profiler(unsigned sets, unsigned line_bytes);
     Profiler(const Profiler &) = delete;
     Profiler &operator=(const Profiler &) = delete;
 
-    /** Size the per-set counters (the owning D-cache unit's L1D). */
-    void
-    initSets(unsigned sets)
+    /** The bucket of @p pc, memoized across repeats of one PC. */
+    PcCounters &
+    bucket(Addr pc)
     {
-        sets_.assign(sets, SetCounters{});
+        if (pc != curPc_) {
+            curPc_ = pc;
+            cur_ = pc ? &pcs_[pc] : &none_;
+        }
+        return *cur_;
     }
 
-    /**
-     * Switch the attribution context to @p pc (0 = machine-initiated
-     * work).  Cheap when the PC repeats: the resolved bucket is
-     * memoized.
-     */
-    void
-    setContext(Addr pc)
+    /** The counters of the L1D set @p addr maps to. */
+    SetCounters &
+    setFor(Addr addr)
     {
-        if (pc == contextPc_)
-            return;
-        contextPc_ = pc;
-        cur_ = pc ? &pcs_[pc] : &none_;
+        return sets_[(addr >> setShift_) & (sets_.size() - 1)];
     }
 
-    Addr contextPc() const { return contextPc_; }
-
-    // --- hooks (call through a null-checked Profiler pointer) ---
-
-    void onLoadForwarded() { ++cur_->loads; ++cur_->sbFwd; }
-    void onLoadLineBuffer() { ++cur_->loads; ++cur_->lbServed; }
-    void onLoadCacheHit() { ++cur_->loads; ++cur_->cacheHits; }
-    void onLoadMiss() { ++cur_->loads; ++cur_->misses; }
-    void onLoadMissMerged() { ++cur_->loads; ++cur_->missMerged; }
-    void onStore() { ++cur_->stores; }
-
-    void
-    onLbLookup(bool hit)
-    {
-        ++cur_->lbLookups;
-        if (hit)
-            ++cur_->lbHits;
-    }
-
-    void onPortGrant() { ++cur_->portGrants; }
-    void onPortConflict() { ++cur_->portConflicts; }
-    void onSbFullStall() { ++cur_->sbFullStalls; }
-    void onMshrWait() { ++cur_->mshrWaits; }
-    void onPartialStall() { ++cur_->partialStalls; }
-    void onMshrAlloc() { ++cur_->mshrAllocs; }
-    void onCommitStallHead() { ++cur_->commitStallHead; }
-    void onCommitStallStore() { ++cur_->commitStallStore; }
-    void onRobEmpty() { ++robEmptyCycles_; }
-
-    void
-    onSetAccess(std::size_t set, bool hit)
-    {
-        SetCounters &counters = sets_[set];
-        ++counters.accesses;
-        if (!hit)
-            ++counters.misses;
-    }
-
-    void onSetEviction(std::size_t set) { ++sets_[set].evictions; }
+    /** One cycle with an empty window (no PC to attribute it to). */
+    void countRobEmpty() { ++robEmptyCycles_; }
 
     /**
      * Zero every counter (the warm-up boundary, mirroring
@@ -185,11 +143,12 @@ class Profiler
     Json toJson(unsigned top_n) const;
 
   private:
-    Addr contextPc_ = 0;
+    Addr curPc_ = 0;
     PcCounters none_;           ///< bucket for PC 0 (machine-initiated)
-    PcCounters *cur_ = &none_;  ///< memoized current bucket
+    PcCounters *cur_ = &none_;  ///< memoized bucket of curPc_
     std::unordered_map<Addr, PcCounters> pcs_;
     std::vector<SetCounters> sets_;
+    unsigned setShift_ = 0;     ///< log2 of the L1D line size
     std::uint64_t robEmptyCycles_ = 0;
 };
 

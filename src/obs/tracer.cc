@@ -29,6 +29,7 @@ eventKindName(EventKind kind)
       case EventKind::Fill: return "fill";
       case EventKind::Commit: return "commit";
       case EventKind::CommitStall: return "commit_stall";
+      default: break;  // untraced kinds have no trace name
     }
     return "?";
 }

@@ -2,12 +2,10 @@
  * @file
  * Cycle-level observability: a low-overhead structured event tracer.
  *
- * Components carry an `obs::Tracer *` that is null for measurement
- * runs; every hook is one branch on that pointer, so tracing compiled
- * in but disabled costs nothing measurable and — because hooks only
- * *read* simulator state — cannot perturb results.  When a TraceSink
- * is attached, events accumulate in a ring and flush to the sink in
- * batches as JSONL (one JSON object per line).
+ * Components report events through their obs::Probe (obs/probe.hh,
+ * which also states the non-perturbing contract); the probe records
+ * the traced kinds here.  Events accumulate in a ring and flush to the
+ * TraceSink in batches as JSONL (one JSON object per line).
  *
  * Trace-file schema (see docs/observability.md for the full story):
  *
@@ -37,7 +35,10 @@
 
 namespace cpe::obs {
 
-/** What happened.  Names in the trace come from eventKindName(). */
+/**
+ * What happened.  The first 15 kinds are traced, under the names
+ * eventKindName() gives them; the rest only feed the profiler.
+ */
 enum class EventKind : std::uint8_t {
     PortGrant,     ///< port booked;            a = cycles occupied
     PortConflict,  ///< acquisition refused: every port busy
@@ -55,7 +56,26 @@ enum class EventKind : std::uint8_t {
     Fill,          ///< line installed in L1D;  addr = line
     Commit,        ///< instructions committed; a = count this cycle
     CommitStall,   ///< commit made no progress; a = cause
+    // Untraced: counted by the profiler only.
+    LoadForwarded,   ///< load served by the store buffer
+    LoadLineBuffer,  ///< load served by a line buffer
+    LoadCacheHit,    ///< load hit L1 through a port
+    LoadMiss,        ///< load missed L1: a new MSHR
+    LoadMissMerged,  ///< load merged into an in-flight fill
+    Store,           ///< store accepted (buffer or port)
+    LbMiss,          ///< line-buffer lookup missed
+    SbFull,          ///< store refused: buffer full
+    MshrWait,        ///< load refused: MSHRs exhausted
+    PartialStall,    ///< load blocked: partial store-buffer overlap
+    SetAccess,       ///< L1D demand access; addr, a = hit
 };
+
+/** @return true for the kinds a trace records. */
+constexpr bool
+traced(EventKind kind)
+{
+    return kind <= EventKind::CommitStall;
+}
 
 /** LbEvict causes (the "a" payload). */
 enum : std::uint64_t {
@@ -183,46 +203,21 @@ class Tracer
                   const std::string &config_tag, Cycle sample_cycles,
                   unsigned l1d_sets = 0, unsigned line_bytes = 0);
 
-    /** @return true when bound to a sink (hooks should record). */
+    /** @return true when bound to a sink. */
     bool active() const { return sink_ != nullptr; }
 
-    /** Current cycle, maintained by the owning core (advanceTo). */
-    Cycle now() const { return now_; }
-
-    /** The owning core ticks this once per cycle while active. */
-    void advanceTo(Cycle now) { now_ = now; }
-
-    /**
-     * Set the static PC attributed to subsequently recorded events.
-     * The D-cache unit scopes this around each load/store it handles;
-     * 0 (the idle default) marks machine-initiated work such as drains
-     * and fills.
-     */
-    void setPc(Addr pc) { pc_ = pc; }
-
-    /** The PC currently attributed (0 = none). */
-    Addr contextPc() const { return pc_; }
-
-    /** Record one event (no-op unless active). */
+    /** Record one event attributed to @p pc (no-op unless active). */
     void
-    record(Cycle cycle, EventKind kind, Addr addr = 0,
-           std::uint64_t a = 0, std::uint64_t b = 0)
+    record(Cycle cycle, EventKind kind, Addr pc, Addr addr,
+           std::uint64_t a, std::uint64_t b)
     {
         if (!sink_)
             return;
-        ring_.push_back(Event{eventsRecorded_, cycle, kind, pc_, addr,
+        ring_.push_back(Event{eventsRecorded_, cycle, kind, pc, addr,
                               a, b});
         ++eventsRecorded_;
         if (ring_.size() >= RingEvents)
             flush();
-    }
-
-    /** record() at the tracked current cycle (for hooks without one). */
-    void
-    recordNow(EventKind kind, Addr addr = 0, std::uint64_t a = 0,
-              std::uint64_t b = 0)
-    {
-        record(now_, kind, addr, a, b);
     }
 
     /**
@@ -259,8 +254,6 @@ class Tracer
 
     TraceSink *sink_ = nullptr;
     std::uint64_t runId_ = 0;
-    Cycle now_ = 0;
-    Addr pc_ = 0;
     std::uint64_t eventsRecorded_ = 0;
     std::uint64_t eventsDropped_ = 0;
     std::vector<Event> ring_;

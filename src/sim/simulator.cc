@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
 #include "func/captured_trace.hh"
 #include "func/executor.hh"
-#include "obs/profiler.hh"
+#include "obs/probe.hh"
 #include "sim/phase_engine.hh"
 #include "sim/trace_cache.hh"
 #include "util/error.hh"
@@ -61,21 +62,23 @@ Simulator::run()
     PhaseEngine engine(plan, core, stitched, hierarchy,
                        config_.sample.confidence);
 
-    // Observability (all off by default).  The tracer, sampler, and
-    // profiler are stack-local: they only observe, so their lifetime
-    // ends with the run and the machine never owns them.
+    // Observability (all off by default).  The tracer, profiler,
+    // probe, and sampler are stack-local: they only observe, so their
+    // lifetime ends with the run and the machine never owns them.
+    const mem::CacheParams &l1d = config_.core.dcache.cache;
     obs::Tracer tracer;
-    obs::Profiler profiler;
-    stats::IntervalSampler sampler(config_.obs.sampleCycles);
-    if (config_.obs.traceSink) {
+    std::optional<obs::Profiler> profiler;
+    if (config_.obs.traceSink)
         tracer.beginRun(config_.obs.traceSink, config_.workloadName,
                         config_.tag(), config_.obs.sampleCycles,
-                        config_.core.dcache.cache.sets(),
-                        config_.core.dcache.cache.lineBytes);
-        core.setTracer(&tracer);
-    }
+                        l1d.sets(), l1d.lineBytes);
     if (config_.obs.profileTop)
-        core.setProfiler(&profiler);
+        profiler.emplace(l1d.sets(), l1d.lineBytes);
+    obs::Probe probe(tracer.active() ? &tracer : nullptr,
+                     profiler ? &*profiler : nullptr);
+    if (tracer.active() || profiler)
+        core.setProbe(&probe);
+    stats::IntervalSampler sampler(config_.obs.sampleCycles);
     if (sampled) {
         // Phase-mode timeseries: one record per measurement interval,
         // closed by the engine (the per-cycle tick is inert).
@@ -167,9 +170,9 @@ Simulator::run()
 
     if (sampler.enabled())
         result.timeseriesJson = sampler.toJson().dump(2);
-    if (config_.obs.profileTop)
+    if (profiler)
         result.profileJson =
-            profiler.toJson(config_.obs.profileTop).dump(2);
+            profiler->toJson(config_.obs.profileTop).dump(2);
     if (tracer.active()) {
         // run_end carries the final scalar totals so a trace consumer
         // can check its aggregated intervals without the results JSON.

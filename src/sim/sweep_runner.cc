@@ -9,7 +9,6 @@
 #include <mutex>
 #include <thread>
 
-#include "obs/metrics.hh"
 #include "sim/result_store.hh"
 #include "util/fault.hh"
 #include "util/logging.hh"
@@ -23,39 +22,6 @@ std::atomic<unsigned> jobsOverride{0};
 
 std::mutex defaultPolicyMutex;
 util::RetryPolicy defaultPolicy;
-
-/** Registry-backed sweep accounting (registered once, updated with
- *  relaxed atomics from every worker thread). */
-struct SweepMetrics
-{
-    obs::Counter *runs;
-    obs::Counter *failures;
-    obs::Counter *attempts;
-    obs::Counter *retries;
-    obs::Histogram *wallMs;
-};
-
-SweepMetrics &
-sweepMetrics()
-{
-    static SweepMetrics metrics = []() {
-        auto &registry = obs::MetricsRegistry::instance();
-        SweepMetrics m;
-        m.runs = registry.counter("sweep.runs",
-                                  "runs completed successfully");
-        m.failures = registry.counter(
-            "sweep.failures", "runs that exhausted every attempt");
-        m.attempts =
-            registry.counter("sweep.attempts", "execution attempts");
-        m.retries = registry.counter(
-            "sweep.retries", "attempts retried after transient failures");
-        m.wallMs = registry.histogram(
-            "sweep.run_wall_ms", obs::MetricsRegistry::wallMsBuckets(),
-            "per-run wall time across all attempts, milliseconds");
-        return m;
-    }();
-    return metrics;
-}
 
 /**
  * Simulate one config with fault capture and the runner's retry
@@ -72,7 +38,6 @@ simulateOne(const SimConfig &config, const util::RetryPolicy &policy)
     const std::string salt = outcome.workload + "|" + outcome.configTag;
     while (true) {
         ++outcome.attempts;
-        sweepMetrics().attempts->inc();
         auto start = std::chrono::steady_clock::now();
         try {
             if (CPE_FAULT_POINT("sweep.run"))
@@ -106,21 +71,15 @@ simulateOne(const SimConfig &config, const util::RetryPolicy &policy)
                 std::chrono::steady_clock::now() - start)
                 .count();
 
-        if (outcome.ok()) {
-            sweepMetrics().runs->inc();
-            sweepMetrics().wallMs->observe(outcome.wallMs);
+        if (outcome.ok())
             return outcome;
-        }
         if (outcome.attempts >= maxAttempts ||
             !policy.retryable(outcome.errorKind)) {
             // Only transient kinds are worth another try; a simulation
             // is a pure function of its config, so config/workload/
             // progress failures would reproduce exactly.
-            sweepMetrics().failures->inc();
-            sweepMetrics().wallMs->observe(outcome.wallMs);
             return outcome;
         }
-        sweepMetrics().retries->inc();
         warn(Msg() << "sweep: retrying " << outcome.workload << " / "
                    << outcome.configTag << " after " << outcome.errorKind
                    << " failure: " << outcome.errorMessage);
@@ -260,13 +219,7 @@ SweepRunner::runOutcomes(const std::vector<SimConfig> &configs) const
 
     unsigned workers = static_cast<unsigned>(
         std::min<std::size_t>(jobs_, configs.size()));
-    // Declared before the pool: workers may still call the observer
-    // while the pool destructor drains.  Installed only when armed so
-    // unobserved sweeps never read per-task clocks.
-    obs::PoolMetricsObserver poolObserver("pool.sweep");
     util::ThreadPool pool(workers);
-    if (obs::MetricsRegistry::armed())
-        pool.setObserver(&poolObserver);
     std::vector<std::future<RunOutcome>> futures;
     futures.reserve(configs.size());
     for (const auto &config : configs)

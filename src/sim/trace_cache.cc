@@ -14,7 +14,6 @@
 
 #include "func/executor.hh"
 #include "func/trace_file.hh"
-#include "obs/metrics.hh"
 #include "util/error.hh"
 #include "util/fault.hh"
 #include "util/logging.hh"
@@ -23,53 +22,6 @@
 namespace cpe::sim {
 
 namespace {
-
-/** Registry mirrors of the per-instance Stats (process-wide totals,
- *  shared by every TraceCache in the process). */
-struct CacheMetrics
-{
-    obs::Counter *captures;
-    obs::Counter *replays;
-    obs::Counter *diskLoads;
-    obs::Counter *diskWrites;
-    obs::Counter *evictions;
-    obs::Counter *spillFailures;
-    obs::Counter *instsCaptured;
-    obs::Counter *instsSkipped;
-    obs::Gauge *residentBytes;
-};
-
-CacheMetrics &
-cacheMetrics()
-{
-    static CacheMetrics metrics = []() {
-        auto &registry = obs::MetricsRegistry::instance();
-        CacheMetrics m;
-        m.captures = registry.counter("trace_cache.captures",
-                                      "functional executions captured");
-        m.replays = registry.counter(
-            "trace_cache.replays", "runs served from a resident trace");
-        m.diskLoads = registry.counter("trace_cache.disk_loads",
-                                       "spill entries read back");
-        m.diskWrites = registry.counter("trace_cache.disk_writes",
-                                        "spill entries written");
-        m.evictions = registry.counter("trace_cache.evictions",
-                                       "resident traces evicted (LRU)");
-        m.spillFailures = registry.counter(
-            "trace_cache.spill_failures", "spill reads/writes that failed");
-        m.instsCaptured = registry.counter(
-            "trace_cache.insts_captured",
-            "instructions functionally executed into captures");
-        m.instsSkipped = registry.counter(
-            "trace_cache.insts_skipped",
-            "functional instructions avoided by replay/spill reuse");
-        m.residentBytes = registry.gauge(
-            "trace_cache.resident_bytes",
-            "bytes of captured traces resident in memory");
-        return m;
-    }();
-    return metrics;
-}
 
 /** This thread's share of every cache's counters (threadStats()). */
 thread_local TraceCache::Stats threadShare;
@@ -296,8 +248,6 @@ TraceCache::obtain(const SimConfig &config, bool prepare)
             it->second.bytes = trace->memoryBytes();
             residentBytes_ += it->second.bytes;
             evictLocked();
-            cacheMetrics().residentBytes->set(
-                static_cast<std::int64_t>(residentBytes_));
         }
         if (!prepare)
             threadShare += made;
@@ -323,8 +273,6 @@ TraceCache::obtain(const SimConfig &config, bool prepare)
         it->second.unclaimed.reset();
         return trace;
     }
-    cacheMetrics().replays->inc();
-    cacheMetrics().instsSkipped->inc(trace->size());
     countLocked(threadShare, &Stats::replays);
     countLocked(threadShare, &Stats::instsSkipped, trace->size());
     return trace;
@@ -343,8 +291,6 @@ TraceCache::produce(const SimConfig &config, const std::string &cache_key,
                     "chaos: injected fault at trace_cache.spill_read");
             auto trace = std::make_shared<const func::CapturedTrace>(
                 func::readTrace(path));
-            cacheMetrics().diskLoads->inc();
-            cacheMetrics().instsSkipped->inc(trace->size());
             {
                 std::lock_guard<std::mutex> lock(mutex_);
                 countLocked(made, &Stats::diskLoads);
@@ -367,8 +313,6 @@ TraceCache::produce(const SimConfig &config, const std::string &cache_key,
     func::Executor executor(std::move(program));
     auto trace = std::make_shared<const func::CapturedTrace>(
         func::CapturedTrace::capture(executor));
-    cacheMetrics().captures->inc();
-    cacheMetrics().instsCaptured->inc(trace->size());
     {
         std::lock_guard<std::mutex> lock(mutex_);
         countLocked(made, &Stats::captures);
@@ -393,7 +337,6 @@ TraceCache::produce(const SimConfig &config, const std::string &cache_key,
             fsyncPath(tmp, false);
             std::filesystem::rename(tmp, path);
             fsyncPath(spillDir_, true);
-            cacheMetrics().diskWrites->inc();
             {
                 std::lock_guard<std::mutex> lock(mutex_);
                 countLocked(made, &Stats::diskWrites);
@@ -428,7 +371,6 @@ void
 TraceCache::noteSpillFailure(Stats &made)
 {
     bool tripped = false;
-    cacheMetrics().spillFailures->inc();
     {
         std::lock_guard<std::mutex> lock(mutex_);
         countLocked(made, &Stats::spillFailures);
@@ -480,7 +422,6 @@ TraceCache::evictLocked()
             return;
         residentBytes_ -= victim->second.bytes;
         countLocked(threadShare, &Stats::evictions);
-        cacheMetrics().evictions->inc();
         entries_.erase(victim);
     }
 }

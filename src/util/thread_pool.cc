@@ -33,34 +33,16 @@ ThreadPool::pendingTasks() const
 }
 
 void
-ThreadPool::setObserver(Observer *observer)
-{
-    std::lock_guard lock(mutex_);
-    observer_ = observer;
-}
-
-void
 ThreadPool::enqueue(std::packaged_task<void()> task)
 {
-    Observer *observer = nullptr;
-    std::size_t depth = 0;
     {
         std::lock_guard lock(mutex_);
         if (stopping_)
             throw std::runtime_error("ThreadPool: submit after shutdown");
-        QueuedTask queued;
-        queued.task = std::move(task);
-        // Only read a clock when someone will consume the timestamp.
-        if (observer_)
-            queued.enqueued = std::chrono::steady_clock::now();
-        queue_.push_back(std::move(queued));
+        queue_.push_back(std::move(task));
         ++inFlight_;
-        observer = observer_;
-        depth = queue_.size();
     }
     workAvailable_.notify_one();
-    if (observer)
-        observer->taskQueued(depth);
 }
 
 void
@@ -82,10 +64,7 @@ void
 ThreadPool::workerLoop()
 {
     for (;;) {
-        QueuedTask item;
-        Observer *observer = nullptr;
-        std::size_t depth = 0, busy = 0;
-        double wait_us = 0.0;
+        std::packaged_task<void()> task;
         {
             std::unique_lock lock(mutex_);
             workAvailable_.wait(lock, [this]() {
@@ -93,44 +72,14 @@ ThreadPool::workerLoop()
             });
             if (queue_.empty())
                 return;  // stopping_ and nothing left to drain
-            item = std::move(queue_.front());
+            task = std::move(queue_.front());
             queue_.pop_front();
-            ++busy_;
-            observer = observer_;
-            if (observer) {
-                depth = queue_.size();
-                busy = busy_;
-                // A zero stamp means the task was enqueued before the
-                // observer was installed; report no wait rather than
-                // a bogus epoch-relative one.
-                if (item.enqueued !=
-                    std::chrono::steady_clock::time_point{})
-                    wait_us =
-                        std::chrono::duration<double, std::micro>(
-                            std::chrono::steady_clock::now() -
-                            item.enqueued)
-                            .count();
-            }
         }
-        if (observer)
-            observer->taskStarted(wait_us, depth, busy);
-        auto start = observer ? std::chrono::steady_clock::now()
-                              : std::chrono::steady_clock::time_point{};
-        item.task();  // a throwing task stores into its future; never escapes
-        double exec_us =
-            observer ? std::chrono::duration<double, std::micro>(
-                           std::chrono::steady_clock::now() - start)
-                           .count()
-                     : 0.0;
+        task();  // a throwing task stores into its future; never escapes
         {
             std::lock_guard lock(mutex_);
             --inFlight_;
-            --busy_;
-            observer = observer_;
-            busy = busy_;
         }
-        if (observer)
-            observer->taskFinished(exec_us, busy);
     }
 }
 

@@ -8,15 +8,15 @@
  * and the pool keeps running.  Destruction (or shutdown()) is graceful
  * — every task already queued still runs before the workers join.
  *
- * The pool is the execution engine under sim::SweepRunner but is
- * deliberately simulator-agnostic so other subsystems (trace capture,
- * report generation) can reuse it.
+ * The pool is the execution engine under sim::SweepRunner and knows
+ * nothing of the simulator.  It reads no clocks and keeps no
+ * telemetry: the work it runs is accounted where it is done, in each
+ * RunOutcome and in TraceCache::Stats.
  */
 
 #ifndef CPE_UTIL_THREAD_POOL_HH
 #define CPE_UTIL_THREAD_POOL_HH
 
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -34,34 +34,6 @@ class ThreadPool
 {
   public:
     /**
-     * Pool telemetry hook (obs::PoolMetricsObserver implements it —
-     * util cannot depend on obs, so the interface lives here).  While
-     * no observer is installed the pool reads no clocks and pays
-     * nothing; with one installed, each task is stamped at enqueue so
-     * queue-wait and execution times can be reported.  Callbacks run
-     * on submitter/worker threads outside the pool lock and must be
-     * thread-safe and non-blocking; install before the first submit
-     * and keep the observer alive until shutdown.
-     */
-    struct Observer
-    {
-        virtual ~Observer() = default;
-        /** A task was enqueued; @p queue_depth includes it. */
-        virtual void taskQueued(std::size_t /*queue_depth*/) {}
-        /** A worker picked a task up after @p wait_us in the queue. */
-        virtual void taskStarted(double /*wait_us*/,
-                                 std::size_t /*queue_depth*/,
-                                 std::size_t /*busy_workers*/)
-        {
-        }
-        /** A task finished after @p exec_us of execution. */
-        virtual void taskFinished(double /*exec_us*/,
-                                  std::size_t /*busy_workers*/)
-        {
-        }
-    };
-
-    /**
      * Start @p threads workers (clamped to >= 1).  The default is one
      * worker per hardware thread.
      */
@@ -75,9 +47,6 @@ class ThreadPool
 
     /** Number of worker threads. */
     unsigned size() const { return static_cast<unsigned>(workers_.size()); }
-
-    /** Install (or clear, with nullptr) the telemetry observer. */
-    void setObserver(Observer *observer);
 
     /** Tasks accepted and not yet finished (snapshot; for tests). */
     std::size_t pendingTasks() const;
@@ -110,23 +79,14 @@ class ThreadPool
     static unsigned hardwareThreads();
 
   private:
-    /** A queued task plus (observer only) its enqueue timestamp. */
-    struct QueuedTask
-    {
-        std::packaged_task<void()> task;
-        std::chrono::steady_clock::time_point enqueued;
-    };
-
     void enqueue(std::packaged_task<void()> task);
     void workerLoop();
 
     mutable std::mutex mutex_;
     std::condition_variable workAvailable_;
-    std::deque<QueuedTask> queue_;
+    std::deque<std::packaged_task<void()>> queue_;
     std::vector<std::thread> workers_;
     std::size_t inFlight_ = 0;  ///< queued + currently executing
-    std::size_t busy_ = 0;      ///< workers currently running a task
-    Observer *observer_ = nullptr;
     bool stopping_ = false;
 };
 

@@ -5,13 +5,16 @@
  * single measured number.  Each seed workload runs twice — obs off and
  * obs on — and every SimResult field plus the final stats JSON must be
  * bit-identical; a parallel sweep sharing one sink must likewise render
- * a byte-identical grid document.
+ * a byte-identical grid document.  With the tracer and the profiler on
+ * one probe, each must see exactly what it sees alone.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "exp/experiment.hh"
+#include "exp/registry.hh"
 #include "obs/tracer.hh"
 #include "sim/simulator.hh"
 #include "sim/sweep_runner.hh"
@@ -64,6 +67,38 @@ TEST(ObsDifferential, TracingDoesNotPerturbResults)
         EXPECT_TRUE(off.timeseriesJson.empty()) << workload;
         EXPECT_FALSE(on.timeseriesJson.empty()) << workload;
         EXPECT_FALSE(sink.text().empty()) << workload;
+    }
+}
+
+TEST(ObsDifferential, TracerAndProfilerShareOneProbe)
+{
+    const exp::Experiment &f5 =
+        exp::ExperimentRegistry::instance().get("F5");
+    for (SimConfig config :
+         exp::suiteConfigs(f5.variants(), {"copy", "crc"})) {
+        const std::string what = config.workloadName + " / " + config.tag();
+        SimResult plain = simulate(config);
+
+        obs::StringTraceSink traced_sink;
+        config.obs.traceSink = &traced_sink;
+        simulate(config);
+
+        config.obs.traceSink = nullptr;
+        config.obs.profileTop = 10;
+        SimResult profiled = simulate(config);
+
+        obs::StringTraceSink both_sink;
+        config.obs.traceSink = &both_sink;
+        SimResult both = simulate(config);
+
+        expectIdentical(plain, both, what);
+        // EXPECT_TRUE, not EXPECT_EQ: a failure must not print two
+        // multi-megabyte traces.
+        const std::string trace = traced_sink.text();
+        EXPECT_FALSE(trace.empty()) << what;
+        EXPECT_TRUE(both_sink.text() == trace) << what;
+        EXPECT_FALSE(profiled.profileJson.empty()) << what;
+        EXPECT_EQ(both.profileJson, profiled.profileJson) << what;
     }
 }
 

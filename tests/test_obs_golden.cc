@@ -17,7 +17,7 @@
 
 #include "cpu/ooo_core.hh"
 #include "func/executor.hh"
-#include "obs/tracer.hh"
+#include "obs/probe.hh"
 #include "prog/builder.hh"
 #include "util/json.hh"
 
@@ -70,7 +70,8 @@ runGoldenTrace()
     tracer.beginRun(&sink, "obs_golden", "single-port+techniques", 0,
                     params.dcache.cache.sets(),
                     params.dcache.cache.lineBytes);
-    core.setTracer(&tracer);
+    obs::Probe probe(&tracer, nullptr);
+    core.setProbe(&probe);
     Cycle cycles = core.run();
     tracer.endRun(cycles, core.committedInsts(), core.ipc(),
                   Json::object());

@@ -8,7 +8,7 @@
  * concurrent identical requests and parallel sweeps, kill-and-resume
  * stitching through an entry directory, cpe_eval's memo (byte-identical
  * documents, one simulation per distinct machine, traced runs bypassing
- * it), and the simulator-version guard.
+ * it), and the simulator-version guard and summary.
  */
 
 #include <unistd.h>
@@ -754,6 +754,19 @@ TEST(SimVersion, ResultsMoveOnlyWithAVersionBump)
            "bump simulatorVersion() (src/sim/simulator.cc) so stored "
            "results go stale, then regenerate "
         << path << " with CPE_REGEN_GOLDEN=1";
+}
+
+TEST(SimVersion, VersionSummaryNamesEveryPinnedSchema)
+{
+    const std::string summary = sim::versionSummary();
+    EXPECT_NE(summary.find("simulator "), std::string::npos);
+    EXPECT_NE(summary.find("cpet trace "), std::string::npos);
+    EXPECT_NE(summary.find("store schema "), std::string::npos);
+    EXPECT_NE(summary.find(sim::simulatorVersion()), std::string::npos);
+    // The store schema key must fold in the simulator version: a
+    // simulator change invalidates every cached result.
+    EXPECT_NE(summary.find(std::string("sim-") + sim::simulatorVersion()),
+              std::string::npos);
 }
 
 } // namespace

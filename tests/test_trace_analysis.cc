@@ -235,12 +235,12 @@ TEST(TraceAnalysis, DroppedEventsAreCountedAndFlagged)
     FlakySink sink(1);
     Tracer tracer;
     tracer.beginRun(&sink, "flaky", "cfg", 0);
-    tracer.record(1, EventKind::Commit, 0, 1);
-    tracer.record(2, EventKind::Commit, 0, 1);
-    tracer.record(3, EventKind::Commit, 0, 1);
+    tracer.record(1, EventKind::Commit, 0, 0, 1, 0);
+    tracer.record(2, EventKind::Commit, 0, 0, 1, 0);
+    tracer.record(3, EventKind::Commit, 0, 0, 1, 0);
     tracer.flush();
     EXPECT_EQ(tracer.eventsDropped(), 3u);
-    tracer.record(4, EventKind::Commit, 0, 1);
+    tracer.record(4, EventKind::Commit, 0, 0, 1, 0);
     tracer.endRun(4, 4, 1.0, Json::object());
 
     TraceFile file = parseText(sink.text());
@@ -264,7 +264,7 @@ TEST(TraceAnalysis, CleanSinkDropsNothing)
     StringTraceSink sink;
     Tracer tracer;
     tracer.beginRun(&sink, "clean", "cfg", 0);
-    tracer.record(1, EventKind::Commit, 0, 1);
+    tracer.record(1, EventKind::Commit, 0, 0, 1, 0);
     tracer.endRun(1, 1, 1.0, Json::object());
     EXPECT_EQ(tracer.eventsDropped(), 0u);
 
