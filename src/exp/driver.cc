@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -82,14 +83,9 @@ constexpr const char *kUsage =
     "                           a top-N table per run (default N: 10)\n"
     "                           and add a \"profile\" member to the\n"
     "                           JSON results documents\n"
-    "  --trace-cache DIR        spill captured functional traces to DIR\n"
-    "                           (CPET files) and reuse them across\n"
-    "                           invocations; replay within one\n"
-    "                           invocation is on regardless\n"
     "  --trace-cache-mb N       resident-set bound for the shared\n"
     "                           functional-trace cache, MiB (default:\n"
-    "                           512; colder captures spill to the\n"
-    "                           --trace-cache DIR or are dropped)\n"
+    "                           512; colder captures are dropped)\n"
     "  --sample-mode MODE       SMARTS-style sampled simulation for\n"
     "                           every run: off | periodic | fixed\n"
     "                           (default: off; see docs/reproducing.md)\n"
@@ -122,9 +118,10 @@ constexpr const char *kUsage =
     "                           as in memory: a rerun (or a resumed,\n"
     "                           interrupted sweep) simulates only the\n"
     "                           machines DIR does not hold yet\n"
-    "  --version                print simulator, CPET trace, and\n"
-    "                           result-store schema versions and exit\n"
-    "(every --flag VALUE is also accepted as --flag=VALUE)\n"
+    "  --version                print simulator and result-store\n"
+    "                           schema versions and exit\n"
+    "(every --flag VALUE is also accepted as --flag=VALUE; the one\n"
+    "exception is --profile[=N], which takes N only after '=')\n"
     "exit codes: 0 success; 1 run failures (--keep-going) or runtime\n"
     "errors; 2 configuration/usage errors (including --validate FAIL);\n"
     "3 baseline drift (--check FAIL)\n";
@@ -191,14 +188,13 @@ struct Options
     std::string tracePath;      ///< --trace: "" = off
     Cycle sampleCycles = 0;     ///< --sample-cycles: 0 = off
     unsigned profileTop = 0;    ///< --profile[=N]: 0 = off
-    std::string traceCacheDir;  ///< --trace-cache: "" = no spill
     bool noReplay = false;      ///< --no-replay: live functional runs
     std::string chaosSpec;      ///< --chaos: "" = disarmed
     unsigned retries = 1;       ///< --retries: transient retry count
     unsigned retryBackoffMs = 0; ///< --retry-backoff-ms: 0 = immediate
     std::string storeDir;       ///< --store: "" = memory only
-    /** --trace-cache-mb: resident bound for the shared cache. */
-    std::size_t traceCacheMb = sim::SimConfig::TraceCacheDefaultResidentMb;
+    /** --trace-cache-mb: resident bound for the shared cache, bytes. */
+    std::size_t traceCacheBytes = sim::TraceCache::DefaultMaxResidentBytes;
     /** --sample-*: sampled simulation for every run (mode off = off). */
     sim::SampleParams sample;
 };
@@ -292,12 +288,19 @@ parseArgs(int argc, char **argv)
                            : 10;
             if (!options.profileTop)
                 usageError("--profile wants a positive top-N count");
-        } else if (flag == "--trace-cache") {
-            options.traceCacheDir = value();
         } else if (flag == "--trace-cache-mb") {
-            options.traceCacheMb = parseNumber<std::size_t>(flag, value());
-            if (!options.traceCacheMb)
+            // Sized in bytes: a count whose byte size does not fit
+            // would wrap to a bound that evicts every capture.
+            constexpr std::size_t max_mb =
+                std::numeric_limits<std::size_t>::max() >> 20;
+            const auto mb = parseNumber<std::size_t>(flag, value());
+            if (!mb)
                 usageError("--trace-cache-mb wants a positive size");
+            if (mb > max_mb)
+                usageError("--trace-cache-mb " + std::to_string(mb) +
+                           " does not fit in bytes (at most " +
+                           std::to_string(max_mb) + ")");
+            options.traceCacheBytes = mb << 20;
         } else if (flag == "--sample-mode") {
             // parseMode throws ConfigError on junk; surface it as a
             // usage error here, before any machine is built.
@@ -860,8 +863,6 @@ evalMain(int argc, char **argv)
     try {
         HookReset reset;
         Options options = parseArgs(argc, argv);
-        if (options.noReplay && !options.traceCacheDir.empty())
-            usageError("--no-replay and --trace-cache are contradictory");
         setFaultInjection(options.faultPlan);
         // Chaos arms (or explicitly disarms — evalMain may be called
         // repeatedly in-process by the tests) before any run starts.
@@ -893,9 +894,8 @@ evalMain(int argc, char **argv)
         // capture (byte-identical results, see DESIGN.md).
         std::unique_ptr<sim::TraceCache> trace_cache;
         if (!options.noReplay)
-            trace_cache = std::make_unique<sim::TraceCache>(
-                options.traceCacheDir,
-                options.traceCacheMb * 1024 * 1024);
+            trace_cache =
+                std::make_unique<sim::TraceCache>(options.traceCacheBytes);
         setTraceCache(trace_cache.get());
         setSampling(options.sample);
         // One result memo for the invocation: a machine that several

@@ -52,64 +52,37 @@ applyFaults(sim::SimConfig &config)
 
 namespace {
 
-/**
- * The functional work one grid saved via the trace cache, as the
- * delta of the cache counters across the grid's sweep.
- */
-struct ReplaySavings
+/** The functional work @p runs saved via the trace cache, as a
+ *  one-at-a-time sweep of that grid would have counted it. */
+sim::TraceCache::Stats
+savingsOf(const GridRuns &runs)
 {
-    std::uint64_t captures = 0;
-    std::uint64_t replays = 0;   ///< in-memory + disk-loaded
-    std::uint64_t diskLoads = 0;
-    std::uint64_t instsSkipped = 0;
-    std::uint64_t spillFailures = 0;
-    bool degraded = false;  ///< spill circuit breaker open
+    sim::TraceCache::Stats saved;
+    for (const auto &run : runs.runs)
+        saved += run.cacheWork;
+    return saved;
+}
 
-    Json toJson() const
-    {
-        Json out = Json::object();
-        out["captures"] = captures;
-        out["replays"] = replays;
-        out["disk_loads"] = diskLoads;
-        out["insts_skipped"] = instsSkipped;
-        out["spill_failures"] = spillFailures;
-        out["degraded"] = Json(degraded);
-        return out;
-    }
-};
+/** A grid's "replay" member. */
+Json
+replayJson(const sim::TraceCache::Stats &saved)
+{
+    Json out = Json::object();
+    out["captures"] = saved.captures;
+    out["replays"] = saved.replays;
+    out["insts_skipped"] = saved.instsSkipped;
+    return out;
+}
 
 void
 printReplaySummary(std::ostream &out, const std::string &experiment_id,
-                   const std::string &key, const ReplaySavings &saved)
+                   const std::string &key,
+                   const sim::TraceCache::Stats &saved)
 {
     out << "[replay] " << experiment_id << "/" << key << ": "
         << saved.captures << " capture(s), " << saved.replays
-        << " replay(s)";
-    if (saved.diskLoads)
-        out << " (" << saved.diskLoads << " from disk)";
-    out << ", " << saved.instsSkipped << " functional insts skipped";
-    if (saved.degraded)
-        out << " [degraded: spill disabled after " << saved.spillFailures
-            << " failure(s)]";
-    out << "\n\n";
-}
-
-/** The functional work @p runs saved, as a one-at-a-time sweep of
- *  that grid would have counted it. */
-ReplaySavings
-savingsOf(const GridRuns &runs)
-{
-    ReplaySavings saved;
-    for (const auto &run : runs.runs) {
-        const sim::TraceCache::Stats &work = run.cacheWork;
-        saved.captures += work.captures;
-        saved.diskLoads += work.diskLoads;
-        saved.replays += work.replays + work.diskLoads;
-        saved.instsSkipped += work.instsSkipped;
-        saved.spillFailures += work.spillFailures;
-    }
-    saved.degraded = runs.degraded;
-    return saved;
+        << " replay(s), " << saved.instsSkipped
+        << " functional insts skipped\n\n";
 }
 
 /** The machine a config describes, as the result memo keys it. */
@@ -219,27 +192,13 @@ runGrids(const std::vector<GridSpec> &grids)
         configs.insert(configs.end(), out[g].configs.begin(),
                        out[g].configs.end());
     }
-    sim::TraceCache::Stats before;
-    if (traceCache)
-        before = traceCache->stats();
     auto runs = sim::SweepRunner().runSchedule(configs);
-
-    // The spill breaker's state after each grid, as far as the pool
-    // can tell: open once the failures charged up to that grid could
-    // have tripped it.
-    const bool degraded = traceCache && traceCache->degraded();
-    std::uint64_t failures = before.spillFailures;
     auto next = runs.begin();
     for (auto &grid : out) {
         auto end = next + static_cast<std::ptrdiff_t>(grid.configs.size());
         grid.runs.assign(std::make_move_iterator(next),
                          std::make_move_iterator(end));
         next = end;
-        for (const auto &run : grid.runs)
-            failures += run.cacheWork.spillFailures;
-        grid.degraded =
-            degraded &&
-            failures >= sim::TraceCache::SpillBreakerThreshold;
     }
     return out;
 }
@@ -344,8 +303,8 @@ Context::grid(const std::string &key)
     if (errors.items().size())
         grid_json["errors"] = std::move(errors);
     if (traceCache) {
-        ReplaySavings saved = savingsOf(*runs);
-        grid_json["replay"] = saved.toJson();
+        sim::TraceCache::Stats saved = savingsOf(*runs);
+        grid_json["replay"] = replayJson(saved);
         printReplaySummary(out_, experiment_.id, key, saved);
     }
     doc_["grids"][key] = std::move(grid_json);

@@ -177,8 +177,6 @@ struct GridRuns
     std::vector<sim::SimConfig> configs;
     /** One per config: the outcome and its share of the cache work. */
     std::vector<sim::ScheduledRun> runs;
-    /** The spill circuit breaker was open once this grid had run. */
-    bool degraded = false;
 };
 
 /**

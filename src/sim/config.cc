@@ -217,11 +217,6 @@ SimConfig::validate() const
                     std::to_string(sample.confidence));
     }
 
-    // Trace-cache sizing: a zero resident bound would evict every
-    // capture immediately, silently re-executing the functional model
-    // per run.
-    require_nonzero("trace_cache_mb", traceCacheMb);
-
     // Watchdog budgets.
     require_nonzero("core.max_cycles", core.maxCycles);
     if (core.noCommitCycleLimit > core.maxCycles)

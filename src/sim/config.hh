@@ -112,18 +112,6 @@ struct SimConfig
     TraceCache *traceCache = nullptr;
 
     /**
-     * Resident-set bound for the shared functional-trace cache, MiB
-     * (machine-file key [sim] trace_cache_mb; cpe_eval
-     * --trace-cache-mb).  Consulted by whoever constructs the shared
-     * TraceCache — the per-run pointer above carries no sizing.
-     */
-    std::size_t traceCacheMb =
-        TraceCacheDefaultResidentMb;
-
-    /** Default for traceCacheMb (TraceCache's own built-in bound). */
-    static constexpr std::size_t TraceCacheDefaultResidentMb = 512;
-
-    /**
      * Fault-injection schedule (machine-file section [chaos]; cpe_eval
      * --chaos).  Off by default (rate 0).  The schedule itself is
      * process-wide — simulate() never arms it — so a config carrying

@@ -393,12 +393,6 @@ keyTable()
                  {"profile",
                   num<unsigned>(FIELD(unsigned, c.obs.profileTop))},
              }},
-            {"sim",
-             {
-                 {"trace_cache_mb",
-                  num<std::size_t>(FIELD(std::size_t,
-                                         c.traceCacheMb))},
-             }},
             {"sample",
              {
                  {"mode",
@@ -643,9 +637,6 @@ toMachineFile(const SimConfig &config)
     out << "\n[obs]\n";
     out << "sample_cycles = " << config.obs.sampleCycles << "\n";
     out << "profile = " << config.obs.profileTop << "\n";
-
-    out << "\n[sim]\n";
-    out << "trace_cache_mb = " << config.traceCacheMb << "\n";
 
     out << "\n[sample]\n";
     out << "mode = " << SampleParams::modeName(config.sample.mode)

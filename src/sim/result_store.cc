@@ -11,7 +11,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "func/trace_file.hh"
 #include "sim/config_file.hh"
 #include "util/error.hh"
 #include "util/fault.hh"
@@ -186,8 +185,7 @@ std::string
 ResultStore::version()
 {
     std::ostringstream out;
-    out << "store-2|sim-" << simulatorVersion() << "|cpet-"
-        << func::traceFileVersion();
+    out << "store-2|sim-" << simulatorVersion();
     return out.str();
 }
 
@@ -195,8 +193,7 @@ std::string
 versionSummary()
 {
     std::ostringstream out;
-    out << "simulator " << simulatorVersion() << ", cpet trace "
-        << func::traceFileVersion() << ", store schema "
+    out << "simulator " << simulatorVersion() << ", store schema "
         << ResultStore::version();
     return out.str();
 }

@@ -9,12 +9,12 @@
  * reuse it too.
  *
  * Key: FNV-1a over toMachineFile(config) with the display label
- * cleared, plus the simulator, CPET trace, and store schema versions
- * (version()).  The machine text carries the workload, its options,
- * and every timing knob; the label only names a grid column, so two
- * experiments that run one machine under different labels share an
- * entry.  A modeling or format change bumps a version and invalidates
- * every old entry by construction.
+ * cleared, plus the simulator and store schema versions (version()).
+ * The machine text carries the workload, its options, and every timing
+ * knob; the label only names a grid column, so two experiments that
+ * run one machine under different labels share an entry.  A modeling
+ * or format change bumps a version and invalidates every old entry by
+ * construction.
  *
  * Entries on disk are single-line JSON files `<key>.json` embedding
  * the byte-exact resultToJson rendering, written tmp + fsync + rename
@@ -80,8 +80,8 @@ class ResultStore
     explicit ResultStore(std::string dir = std::string());
 
     /**
-     * The store schema + simulator + CPET versions folded into every
-     * key: bump "store-N" when the entry format changes, and
+     * The store schema + simulator versions folded into every key:
+     * bump "store-N" when the entry format changes, and
      * simulatorVersion() when a modeling change makes old results
      * stale (tests/golden/sim_version.json enforces the latter).
      */
@@ -159,9 +159,8 @@ class ResultStore
 };
 
 /**
- * One line naming the three cache-invalidation inputs — simulator,
- * CPET trace, and store schema versions — for `--version` output and
- * stale-store debugging.
+ * One line naming the cache-invalidation inputs — simulator and store
+ * schema versions — for `--version` output and stale-store debugging.
  */
 std::string versionSummary();
 

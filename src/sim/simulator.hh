@@ -104,9 +104,9 @@ class Simulator
 
 /**
  * The simulator's behavioral version: bump when a modeling change
- * makes previously computed results stale (one of the three inputs to
- * result-store cache invalidation, next to the CPET trace version and
- * the store schema version — see serve::ResultStore::version()).
+ * makes previously computed results stale (one of the two inputs to
+ * result-store cache invalidation, next to the store schema version —
+ * see sim::ResultStore::version()).
  */
 const char *simulatorVersion();
 

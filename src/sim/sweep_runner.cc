@@ -326,20 +326,20 @@ SweepRunner::runSchedule(const std::vector<SimConfig> &configs) const
             runAt(i);
     });
 
-    // A stream's capture (or spill load) landed on whichever run
-    // claimed or made it.  The one-at-a-time order charges it to the
-    // stream's first run that acquires it: move it there, and hand the
-    // holder that run's replay in exchange.
+    // A stream's capture landed on whichever run claimed or made it.
+    // The one-at-a-time order charges it to the stream's first run
+    // that acquires it: move it there, and hand the holder that run's
+    // replay in exchange.
     std::vector<std::size_t> first(streams.size(), NoStream);
     std::vector<std::size_t> holder(streams.size(), NoStream);
     for (std::size_t i = 0; i < configs.size(); ++i) {
         const TraceCache::Stats &work = runs[i].cacheWork;
         std::size_t s = streamOf[i];
-        if (s == NoStream || !(work.captures + work.diskLoads + work.replays))
+        if (s == NoStream || !(work.captures + work.replays))
             continue;
         if (first[s] == NoStream)
             first[s] = i;
-        if (holder[s] == NoStream && work.captures + work.diskLoads)
+        if (holder[s] == NoStream && work.captures)
             holder[s] = i;
     }
     for (std::size_t s = 0; s < streams.size(); ++s) {

@@ -91,10 +91,10 @@ struct ScheduledRun
     RunOutcome outcome;
     /**
      * The cache counters this run moved, as a one-at-a-time sweep in
-     * schedule order would have moved them: a stream's capture (or
-     * spill load) belongs to the first run in that order that
-     * acquires it, every other acquisition is a replay, and a run the
-     * result store answers moves nothing.
+     * schedule order would have moved them: a stream's capture
+     * belongs to the first run in that order that acquires it, every
+     * other acquisition is a replay, and a run the result store
+     * answers moves nothing.
      */
     TraceCache::Stats cacheWork;
 };

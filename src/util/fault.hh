@@ -3,11 +3,11 @@
  * Deterministic process-wide fault injection (see docs/robustness.md).
  *
  * Library code marks every seam where the outside world can fail — a
- * spill write, a sink flush, a baseline read — with a named fault
+ * store write, a sink flush, a baseline read — with a named fault
  * point:
  *
- *     if (CPE_FAULT_POINT("trace_cache.spill_write"))
- *         throw IoError("chaos: injected fault at trace_cache.spill_write");
+ *     if (CPE_FAULT_POINT("store.write"))
+ *         throw IoError("chaos: injected fault at store.write");
  *
  * When the injector is disarmed (the default, and the only state
  * production runs ever see) the macro is a single relaxed atomic load

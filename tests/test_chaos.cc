@@ -13,7 +13,6 @@
 #include <unistd.h>
 
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -78,11 +77,11 @@ TEST(ChaosSpec, ParseRejectsBadInput)
 TEST(ChaosSpec, GlobMatch)
 {
     EXPECT_TRUE(util::globMatch("*", "anything.at.all"));
-    EXPECT_TRUE(util::globMatch("trace_cache.*", "trace_cache.spill_write"));
+    EXPECT_TRUE(util::globMatch("trace_cache.*", "trace_cache.capture"));
     EXPECT_FALSE(util::globMatch("trace_cache.*", "trace_sink.write"));
     EXPECT_TRUE(util::globMatch("*.write", "trace_sink.write"));
-    EXPECT_TRUE(util::globMatch("*cache*write", "trace_cache.spill_write"));
-    EXPECT_FALSE(util::globMatch("*cache*write", "baseline.read"));
+    EXPECT_TRUE(util::globMatch("*cache*ture", "trace_cache.capture"));
+    EXPECT_FALSE(util::globMatch("*cache*ture", "baseline.read"));
     EXPECT_TRUE(util::globMatch("store.writ?", "store.write"));
     EXPECT_FALSE(util::globMatch("store.writ?", "store.writes"));
     EXPECT_TRUE(util::globMatch("", ""));
@@ -305,8 +304,8 @@ TEST(Chaos, SweepInvariantUnderScheduleMatrix)
             util::FaultInjector::instance().arm(util::ChaosSpec::parse(
                 "seed=" + std::to_string(seed) + ",rate=" +
                 std::string(rate)));
-            // A fresh spill-less cache per schedule keeps runs
-            // independent of earlier schedules' failures.
+            // A fresh cache per schedule keeps runs independent of
+            // earlier schedules' failures.
             sim::TraceCache cache;
             auto configs = chaosGrid();
             for (auto &config : configs)
@@ -355,7 +354,7 @@ TEST(Chaos, DisarmedSweepByteIdenticalToFaultFree)
     util::FaultInjector::instance().arm(
         util::ChaosSpec::parse("seed=3,rate=1"));
     for (int i = 0; i < 32; ++i)
-        (void)CPE_FAULT_POINT("trace_cache.spill_write");
+        (void)CPE_FAULT_POINT("trace_cache.capture");
     util::FaultInjector::instance().disarm();
     std::string after =
         sim::SweepRunner(1).runGrid(chaosGrid()).toJson().dump(2);
@@ -460,68 +459,6 @@ TEST(Chaos, StoredGridInvariantUnderStoreFaults)
 
     EXPECT_EQ(stored_sweep(), chaosGrid().size());
     std::filesystem::remove_all(dir);
-}
-
-TEST(Chaos, SpillCircuitBreakerDegradesToMemoryOnly)
-{
-    VerboseScope quiet(false);
-    DisarmGuard guard;
-    auto spill_dir = std::filesystem::temp_directory_path() /
-                     "cpe_chaos_breaker_test";
-    std::filesystem::remove_all(spill_dir);
-
-    // Every spill write fails: after the threshold the cache must stop
-    // touching the disk and keep serving from memory.
-    util::FaultInjector::instance().arm(util::ChaosSpec::parse(
-        "seed=5,rate=1,point=trace_cache.spill_write"));
-    sim::TraceCache cache(spill_dir.string());
-    std::vector<std::string> workloads = {"crc", "copy", "histogram",
-                                          "saxpy"};
-    for (const auto &workload : workloads) {
-        sim::SimConfig config = chaosConfig(workload, false);
-        config.traceCache = &cache;
-        sim::SimResult result = sim::simulate(config);
-        EXPECT_GT(result.insts, 0u) << workload;
-    }
-    util::FaultInjector::instance().disarm();
-
-    EXPECT_TRUE(cache.degraded());
-    EXPECT_GE(cache.stats().spillFailures,
-              sim::TraceCache::SpillBreakerThreshold);
-    // Memory-side behavior is untouched: every workload captured once.
-    EXPECT_EQ(cache.stats().captures, workloads.size());
-    // Degraded means no spill files ever landed.
-    unsigned spilled = 0;
-    std::error_code ec;
-    for (auto it = std::filesystem::directory_iterator(spill_dir, ec);
-         !ec && it != std::filesystem::directory_iterator(); ++it)
-        ++spilled;
-    EXPECT_EQ(spilled, 0u);
-    std::filesystem::remove_all(spill_dir);
-}
-
-TEST(Chaos, OrphanedSpillTmpFilesAreSweptOnConstruction)
-{
-    VerboseScope quiet(false);
-    auto spill_dir = std::filesystem::temp_directory_path() /
-                     "cpe_chaos_orphan_test";
-    std::filesystem::remove_all(spill_dir);
-    std::filesystem::create_directories(spill_dir);
-    // A crash mid-spill leaves "<trace>.cpet.tmp.<pid>" behind.
-    {
-        std::ofstream orphan(spill_dir / "deadbeef.cpet.tmp.1234");
-        orphan << "torn";
-    }
-    {
-        std::ofstream keeper(spill_dir / "cafef00d.cpet");
-        keeper << "not a real capture, but not a tmp file either";
-    }
-
-    sim::TraceCache cache(spill_dir.string());
-    EXPECT_FALSE(
-        std::filesystem::exists(spill_dir / "deadbeef.cpet.tmp.1234"));
-    EXPECT_TRUE(std::filesystem::exists(spill_dir / "cafef00d.cpet"));
-    std::filesystem::remove_all(spill_dir);
 }
 
 } // namespace

@@ -11,7 +11,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -401,6 +403,42 @@ TEST(EvalExitCodes, JunkNumericFlagIsUsageErrorTwo)
                   std::string::npos)
             << flag.front() << ": " << err;
     }
+}
+
+TEST(EvalExitCodes, TraceCacheBoundOutOfRangeIsUsageErrorTwo)
+{
+    // The bound is sized in bytes: a MiB count whose byte size wraps
+    // would bound the cache at (nearly) nothing and turn every replay
+    // into a capture.  Zero is refused too; the largest count that
+    // fits is accepted.
+    const std::size_t max_mb = std::numeric_limits<std::size_t>::max() >> 20;
+    const std::vector<std::pair<std::string, std::string>> refused = {
+        {"0", "wants a positive size"},
+        {std::to_string(max_mb + 1), "does not fit in bytes"},
+    };
+    for (const auto &[mb, message] : refused) {
+        testing::internal::CaptureStderr();
+        int rc = evalWith({"--validate", "--run", "T3", "--workloads",
+                           "crc", "--trace-cache-mb", mb});
+        std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_EQ(rc, 2) << mb;
+        EXPECT_NE(err.find(message), std::string::npos) << mb << ": " << err;
+    }
+    EXPECT_EQ(evalWith({"--validate", "--run", "T3", "--workloads", "crc",
+                        "--trace-cache-mb", std::to_string(max_mb)}),
+              0);
+}
+
+TEST(EvalExitCodes, BareProfileTakesNoValue)
+{
+    // --profile[=N] is the one flag without a "--flag VALUE" spelling:
+    // a bare --profile means top 10 and never takes the next argument,
+    // so the 5 here is a stray one.
+    testing::internal::CaptureStderr();
+    int rc = evalWith({"--run", "T1", "--profile", "5"});
+    std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(rc, 2);
+    EXPECT_NE(err.find("unknown flag '5'"), std::string::npos) << err;
 }
 
 TEST(EvalExitCodes, BaselineDriftIsThree)

@@ -201,7 +201,7 @@ TEST(ResultStore, KeyTracksContentNotFormatting)
     sim::SimConfig alus = storeConfig("crc");
     alus.core.fu.intAlu.count = 4;
     EXPECT_NE(keyOf(alus), key);
-    EXPECT_NE(sim::ResultStore::keyFor(config, "store-999|cpet-0"), key);
+    EXPECT_NE(sim::ResultStore::keyFor(config, "store-999"), key);
 
     // ...but not the label, which names a grid column, not a machine.
     sim::SimConfig relabelled = storeConfig("crc");
@@ -325,7 +325,7 @@ TEST(ResultStore, CorruptEntryFallsBackWithoutPoisoningTheStore)
     {
         std::ofstream stale(path, std::ios::binary | std::ios::trunc);
         stale << "{\"t\":\"entry\",\"k\":\"" << key
-              << "\",\"version\":\"store-0|cpet-0\",\"result\":{}}\n";
+              << "\",\"version\":\"store-0\",\"result\":{}}\n";
     }
     sim::ResultStore reopened(scratch.str());
     EXPECT_FALSE(reopened.lookup(key, loaded));
@@ -760,7 +760,6 @@ TEST(SimVersion, VersionSummaryNamesEveryPinnedSchema)
 {
     const std::string summary = sim::versionSummary();
     EXPECT_NE(summary.find("simulator "), std::string::npos);
-    EXPECT_NE(summary.find("cpet trace "), std::string::npos);
     EXPECT_NE(summary.find("store schema "), std::string::npos);
     EXPECT_NE(summary.find(sim::simulatorVersion()), std::string::npos);
     // The store schema key must fold in the simulator version: a

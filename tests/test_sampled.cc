@@ -338,15 +338,6 @@ TEST(SampleConfig, SampledModeRejectsFullDetailFeatures)
     EXPECT_TRUE(config.validate().empty());
 }
 
-TEST(SampleConfig, TraceCacheBoundMustBeNonzero)
-{
-    SimConfig config = SimConfig::defaults();
-    config.traceCacheMb = 0;
-    auto diags = config.validate();
-    ASSERT_EQ(diags.size(), 1u);
-    EXPECT_EQ(diags[0].field, "trace_cache_mb");
-}
-
 // --- End-to-end sampled runs -----------------------------------------
 
 SimConfig

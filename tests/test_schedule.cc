@@ -3,7 +3,8 @@
  * The pooled schedule behind `cpe_eval --run`: every declared grid of
  * every selected experiment runs in one pool before the bodies render,
  * and nothing that prints moves.  A golden written by the driver that
- * ran experiments one at a time pins the derived columns; contexts
+ * ran experiments one at a time pins the derived columns, and F3's,
+ * F10's and F11's rate columns print what their runs record; contexts
  * without a schedule (one grid at a time, as perfbench's traced pass
  * runs them) render what evalMain renders; four workers render what
  * one does; and evalMain hands every process-wide hook back as it
@@ -167,39 +168,98 @@ TEST(Schedule, DerivedColumnsMatchTheGolden)
     }
 }
 
+/**
+ * The body rows of the table captioned @p caption in @p stdout_text,
+ * keyed by their first cell.  TextTable puts two or more spaces
+ * between cells and none inside one.
+ */
+std::map<std::string, std::vector<std::string>>
+tableRows(const std::string &stdout_text, const std::string &caption)
+{
+    static const std::regex gap(" {2,}");
+    std::map<std::string, std::vector<std::string>> rows;
+    std::size_t at = stdout_text.find(caption + "\n");
+    if (at == std::string::npos)
+        return rows;
+    std::istringstream lines(stdout_text.substr(at));
+    std::string line;
+    for (int skip = 0; skip < 3; ++skip)  // caption, header, rule
+        std::getline(lines, line);
+    while (std::getline(lines, line) && !line.empty()) {
+        std::vector<std::string> cells(
+            std::sregex_token_iterator(line.begin(), line.end(), gap, -1),
+            std::sregex_token_iterator());
+        rows[cells.front()].assign(cells.begin() + 1, cells.end());
+    }
+    return rows;
+}
+
+/** 100 x @p field of the one run of (@p workload, @p config) in
+ *  @p grid of @p doc, printed as the tables print a percentage. */
+std::string
+runPercent(const Json &doc, const std::string &grid,
+           const std::string &workload, const std::string &config,
+           const std::string &field)
+{
+    std::vector<double> values;
+    for (const Json &entry : doc.at("grids").at(grid).at("runs").items())
+        if (entry.at("workload").asString() == workload &&
+            entry.at("config").asString() == config)
+            values.push_back(entry.at(field).asNumber());
+    EXPECT_EQ(values.size(), 1u) << grid << ": " << workload << " / "
+                                 << config;
+    return values.empty() ? "<no run>"
+                          : TextTable::num(100.0 * values[0], 1) + "%";
+}
+
 TEST(Schedule, F10MissColumnIsTheMeanOfItsGridRuns)
 {
     // A one-workload suite: each row's miss% is the mean l1d_miss_rate
-    // of that capacity's `1p all` runs, as its JSON document has them.
+    // of that capacity's `1p all` runs, which is copy's one run.
     ScratchDir scratch("cpe_schedule_f10");
     auto run = eval({"--run", "F10", "--workloads", "copy", "--jobs", "1",
                      "--out", scratch.dir.string()});
     ASSERT_EQ(run.rc, 0) << run.err;
     Json doc = Json::parse(readFile(scratch.dir / "F10.json"), "F10.json");
 
-    std::map<std::string, std::string> cells;  ///< "8 KiB" -> "99.8%"
-    std::istringstream lines(run.out);
-    for (std::string line; std::getline(lines, line);) {
-        std::size_t kib = line.find(" KiB ");
-        if (kib != std::string::npos)
-            cells[line.substr(0, kib + 4)] =
-                line.substr(line.find_last_of(' ') + 1);
-    }
+    auto rows = tableRows(run.out, "Geomean IPC across the suite:");
     for (unsigned size : {8u, 16u, 32u, 64u}) {
         const std::string key = std::to_string(size) + " KiB";
         SCOPED_TRACE(key);
-        double sum = 0.0;
-        unsigned count = 0;
-        for (const Json &entry :
-             doc.at("grids").at("kib" + std::to_string(size)).at("runs")
-                 .items()) {
-            if (entry.at("config").asString() != "1p all")
-                continue;
-            sum += entry.at("l1d_miss_rate").asNumber();
-            ++count;
-        }
-        ASSERT_EQ(count, 1u);
-        EXPECT_EQ(cells[key], TextTable::num(100.0 * sum / count, 1) + "%");
+        ASSERT_FALSE(rows[key].empty());
+        EXPECT_EQ(rows[key].back(),
+                  runPercent(doc, "kib" + std::to_string(size), "copy",
+                             "1p all", "l1d_miss_rate"));
+    }
+}
+
+TEST(Schedule, F3AndF11RateColumnsAreTheirGridRuns)
+{
+    // F3's hit rate is the lb8 run's; F11's accuracy is each
+    // predictor's run.  stencil joins copy because copy's lb8 hit rate
+    // prints 0.0%, as the `no lb` run's would.
+    ScratchDir scratch("cpe_schedule_f3_f11");
+    auto run = eval({"--run", "F3,F11", "--workloads", "copy,stencil",
+                     "--jobs", "1", "--out", scratch.dir.string()});
+    ASSERT_EQ(run.rc, 0) << run.err;
+    Json f3 = Json::parse(readFile(scratch.dir / "F3.json"), "F3.json");
+    Json f11 = Json::parse(readFile(scratch.dir / "F11.json"), "F11.json");
+
+    auto hits = tableRows(run.out,
+                          "Line-buffer load hit rate (lb8, narrow port):");
+    auto accuracy =
+        tableRows(run.out, "Conditional-branch direction accuracy:");
+    for (const std::string workload : {"copy", "stencil"}) {
+        SCOPED_TRACE(workload);
+        EXPECT_EQ(hits[workload],
+                  std::vector<std::string>{runPercent(
+                      f3, "main", workload, "lb8", "line_buffer_hit_rate")});
+        std::vector<std::string> want;
+        for (const char *predictor :
+             {"not-taken", "bimodal", "gshare", "local"})
+            want.push_back(runPercent(f11, "main", workload, predictor,
+                                      "cond_accuracy"));
+        EXPECT_EQ(accuracy[workload], want);
     }
 }
 

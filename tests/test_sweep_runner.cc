@@ -138,7 +138,6 @@ charged(const ScheduledRun &run)
     const TraceCache::Stats &work = run.cacheWork;
     return std::to_string(work.captures) + " capture(s), " +
            std::to_string(work.replays) + " replay(s), " +
-           std::to_string(work.diskLoads) + " load(s), " +
            std::to_string(work.instsSkipped) + " skipped";
 }
 

@@ -5,21 +5,17 @@
  * record-by-record reference scan.  The cache: keying (timing-only
  * variants share a capture, any functional difference never does),
  * single capture per group — including under concurrent acquisition —
- * LRU eviction that keeps in-flight replays valid, and the on-disk
- * spill (round trip, corrupt or truncated entries falling back to live
- * capture, failed captures never cached).
+ * LRU eviction that keeps in-flight replays valid, and failed captures
+ * never cached.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
 #include <future>
 #include <vector>
 
 #include "func/captured_trace.hh"
 #include "func/executor.hh"
-#include "func/trace_file.hh"
 #include "sim/trace_cache.hh"
 #include "util/error.hh"
 #include "util/thread_pool.hh"
@@ -47,18 +43,6 @@ sameRecord(const func::DynInst &a, const func::DynInst &b)
            a.memSize == b.memSize && a.taken == b.taken &&
            a.kernelMode == b.kernelMode;
 }
-
-/** A per-test spill directory under the gtest temp dir. */
-struct TempDir
-{
-    std::string path;
-    explicit TempDir(const std::string &name)
-        : path(std::string(::testing::TempDir()) + name)
-    {
-        std::filesystem::remove_all(path);
-    }
-    ~TempDir() { std::filesystem::remove_all(path); }
-};
 
 /** Synthesizes a stream of @p total records and logs where each
  *  fill() was asked to write, with the index of its first record. */
@@ -219,13 +203,8 @@ TEST(TraceCache, CapturesOnceThenReplays)
         config.workloadName, config.workload));
     auto expected = func::recordTrace(golden, ~std::size_t{0});
     ASSERT_EQ(first->size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ((*first)[i].seq, expected[i].seq);
-        EXPECT_EQ((*first)[i].pc, expected[i].pc);
-        EXPECT_EQ((*first)[i].memAddr, expected[i].memAddr);
-        EXPECT_EQ((*first)[i].nextPc, expected[i].nextPc);
-        EXPECT_EQ((*first)[i].taken, expected[i].taken);
-    }
+    for (std::size_t i = 0; i < expected.size(); ++i)
+        ASSERT_TRUE(sameRecord((*first)[i], expected[i])) << "record " << i;
 }
 
 TEST(TraceCache, OnlySampledCapturesBuildAWarmIndex)
@@ -281,7 +260,7 @@ TEST(TraceCache, EvictsLruButKeepsInFlightReplaysValid)
 {
     // A 1-byte bound forces an eviction as soon as a second capture
     // lands; the MRU entry always survives.
-    TraceCache cache("", 1);
+    TraceCache cache(1);
     auto copy = cache.acquire(cacheConfig("copy"));
     std::size_t copy_size = copy->size();
     auto crc = cache.acquire(cacheConfig("crc"));
@@ -320,85 +299,6 @@ TEST(TraceCache, ConcurrentAcquiresCaptureExactlyOnce)
     TraceCache::Stats stats = cache.stats();
     EXPECT_EQ(stats.captures, 1u) << "single-flight: one execution";
     EXPECT_EQ(stats.replays, 7u);
-}
-
-TEST(TraceCache, SpillsToDiskAndLoadsAcrossInstances)
-{
-    TempDir dir("cpe_trace_cache_spill/");
-    // compress is long enough that the load grows the capture's block
-    // several times over.
-    SimConfig config = cacheConfig("compress");
-
-    TraceCache writer(dir.path);
-    auto captured = writer.acquire(config);
-    EXPECT_EQ(writer.stats().captures, 1u);
-    EXPECT_EQ(writer.stats().diskWrites, 1u);
-    ASSERT_FALSE(writer.spillPath(config).empty());
-    EXPECT_TRUE(std::filesystem::exists(writer.spillPath(config)));
-
-    // A fresh cache (a later cpe_eval invocation) loads the spill
-    // instead of re-executing the functional model.
-    TraceCache reader(dir.path);
-    auto loaded = reader.acquire(config);
-    TraceCache::Stats stats = reader.stats();
-    EXPECT_EQ(stats.captures, 0u) << "no functional execution";
-    EXPECT_EQ(stats.diskLoads, 1u);
-    EXPECT_EQ(stats.instsSkipped, loaded->size());
-    ASSERT_EQ(loaded->size(), captured->size());
-    for (std::size_t i = 0; i < loaded->size(); ++i)
-        ASSERT_TRUE(sameRecord((*loaded)[i], (*captured)[i]))
-            << "record " << i;
-}
-
-TEST(TraceCache, CorruptSpillEntryFallsBackToLiveCapture)
-{
-    TempDir dir("cpe_trace_cache_corrupt/");
-    SimConfig config = cacheConfig("copy");
-
-    TraceCache cache(dir.path);
-    std::filesystem::create_directories(dir.path);
-    std::FILE *f = std::fopen(cache.spillPath(config).c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("this is not a CPET trace", f);
-    std::fclose(f);
-
-    // The corrupt entry warns and the capture proceeds live — a bad
-    // spill directory must never fail a run.
-    auto trace = cache.acquire(config);
-    EXPECT_GT(trace->size(), 0u);
-    TraceCache::Stats stats = cache.stats();
-    EXPECT_EQ(stats.diskLoads, 0u);
-    EXPECT_EQ(stats.captures, 1u);
-}
-
-TEST(TraceCache, TruncatedSpillEntryFallsBackToLiveCapture)
-{
-    TempDir dir("cpe_trace_cache_truncated/");
-    SimConfig config = cacheConfig("copy");
-    std::string path;
-    {
-        TraceCache writer(dir.path);
-        writer.acquire(config);
-        path = writer.spillPath(config);
-    }
-    // A valid header promising more records than the file holds (the
-    // last three 40-byte CPET records cut off): the load must notice
-    // the short stream rather than replay a prefix.
-    auto bytes = std::filesystem::file_size(path);
-    std::filesystem::resize_file(path, bytes - 3 * 40);
-
-    TraceCache cache(dir.path);
-    auto trace = cache.acquire(config);
-    TraceCache::Stats stats = cache.stats();
-    EXPECT_EQ(stats.diskLoads, 0u);
-    EXPECT_EQ(stats.captures, 1u);
-
-    func::Executor golden(workload::WorkloadRegistry::instance().build(
-        config.workloadName, config.workload));
-    auto expected = func::recordTrace(golden, ~std::size_t{0});
-    ASSERT_EQ(trace->size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i)
-        ASSERT_TRUE(sameRecord((*trace)[i], expected[i])) << "record " << i;
 }
 
 TEST(TraceCache, FailedCapturesAreNotCached)
