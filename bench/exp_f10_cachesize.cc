@@ -27,20 +27,15 @@ variantsAt(unsigned kib)
     };
 }
 
-/** Primary grid for the gate: the smallest capacity, where miss and
- * port pressure interact the most. */
-std::vector<exp::Variant>
-variants()
-{
-    return variantsAt(8);
-}
-
+/** The gate replays the smallest capacity, where miss and port
+ *  pressure interact the most. */
 std::vector<exp::GridSpec>
 grids(const std::vector<std::string> &suite)
 {
     std::vector<exp::GridSpec> out;
     for (unsigned kib : {8u, 16u, 32u, 64u})
-        out.push_back({"kib" + std::to_string(kib), variantsAt(kib), suite});
+        out.push_back({"kib" + std::to_string(kib), variantsAt(kib), suite,
+                       "", kib == 8 ? exp::Gate::On : exp::Gate::Off});
     return out;
 }
 
@@ -84,10 +79,6 @@ exp::Registrar reg({
     .id = "F10",
     .title = "sensitivity to L1D capacity",
     .description = "Scales L1D capacity to test whether the techniques survive cache-size changes.",
-    .variants = variants,
-    .workloads = {},
-    .baseline = "2 ports",
-    .gateExclude = {},
     .grids = grids,
     .run = run,
 });

@@ -43,7 +43,7 @@ variants()
 std::vector<exp::GridSpec>
 grids(const std::vector<std::string> &suite)
 {
-    return {{"main", variants(), suite}};
+    return {{"main", variants(), suite, "", exp::Gate::On}};
 }
 
 void
@@ -83,10 +83,6 @@ exp::Registrar reg({
     .id = "F11",
     .title = "branch predictors x the buffered single port",
     .description = "Swaps branch predictors to check the buffered port's sensitivity to fetch quality.",
-    .variants = variants,
-    .workloads = {},
-    .baseline = "",
-    .gateExclude = {},
     .grids = grids,
     .run = run,
 });

@@ -35,13 +35,13 @@ const std::vector<std::string> kWorkloads = {"compress", "hashjoin", "spmv",
 std::vector<exp::GridSpec>
 grids(const std::vector<std::string> &)
 {
-    return {{"main", variants(), kWorkloads, "mshr1"}};
+    return {{"main", variants(), kWorkloads, "mshr1", exp::Gate::On}};
 }
 
 void
 run(exp::Context &ctx)
 {
-    ctx.printGrid(ctx.grid("main"), "mshr1");
+    ctx.printGrid("main");
 
     ctx.out() << "Reading: overlap-friendly miss streams gain hugely "
                  "(spmv 3.3x, copy's cold\npasses 2.2x) and saturate by "
@@ -55,10 +55,6 @@ exp::Registrar reg({
     .id = "F12",
     .title = "IPC vs outstanding-miss capacity (MSHRs)",
     .description = "Sweeps MSHR capacity on miss-heavy workloads feeding the single port.",
-    .variants = variants,
-    .workloads = kWorkloads,
-    .baseline = "mshr1",
-    .gateExclude = {},
     .grids = grids,
     .run = run,
 });

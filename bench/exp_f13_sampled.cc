@@ -21,7 +21,7 @@
  *
  * The sampled column is a statistical estimate with its own
  * confidence interval, so it is excluded from the regression gate
- * (gateExclude): only the full-detail column is baselined.
+ * (GridSpec::gateExclude): only the full-detail column is baselined.
  */
 
 #include <algorithm>
@@ -79,6 +79,17 @@ variants()
     };
 }
 
+/** The validated workloads, whatever the suite: each scales linearly. */
+const std::vector<std::string> kWorkloads = {"compress", "stencil", "copy"};
+
+/** Gate only: the body times its own runs (see run()). */
+std::vector<exp::GridSpec>
+grids(const std::vector<std::string> &)
+{
+    return {{"main", variants(), kWorkloads, "full", exp::Gate::Only,
+             {"sampled"}}};
+}
+
 double
 elapsedMs(std::chrono::steady_clock::time_point start)
 {
@@ -95,8 +106,7 @@ run(exp::Context &ctx)
     // would scramble, so F13 runs alone, after cpe_eval's pool.  Run
     // serially, full first (it also pays the one-time functional
     // capture both columns replay).
-    auto configs = exp::suiteConfigs(
-        variants(), {"compress", "stencil", "copy"});
+    auto configs = exp::suiteConfigs(variants(), kWorkloads);
 
     TextTable table;
     table.addHeader({"workload", "full IPC", "sampled IPC", "err%",
@@ -178,11 +188,7 @@ exp::Registrar reg({
     .id = "F13",
     .title = "sampled simulation vs full detail",
     .description = "Validates the SMARTS-style sampled mode: IPC error, CI coverage, and wall-clock speedup against full-detail runs.",
-    .variants = variants,
-    .workloads = {"compress", "stencil", "copy"},
-    .baseline = "full",
-    .gateExclude = {"sampled"},
-    .grids = {},
+    .grids = grids,
     .run = run,
 });
 

@@ -29,13 +29,13 @@ variants()
 std::vector<exp::GridSpec>
 grids(const std::vector<std::string> &suite)
 {
-    return {{"main", variants(), suite, "1 port"}};
+    return {{"main", variants(), suite, "1 port", exp::Gate::On}};
 }
 
 void
 run(exp::Context &ctx)
 {
-    ctx.printGrid(ctx.grid("main"), "1 port");
+    ctx.printGrid("main");
 
     ctx.out() << "Reading: the paper's premise is the 1-port column "
                  "trailing the 2-port\nbaseline noticeably on "
@@ -47,10 +47,6 @@ exp::Registrar reg({
     .id = "F1",
     .title = "performance vs number of cache ports",
     .description = "Sweeps the L1D port count to show how far beyond one port the baseline core can profit.",
-    .variants = variants,
-    .workloads = {},
-    .baseline = "1 port",
-    .gateExclude = {},
     .grids = grids,
     .run = run,
 });

@@ -35,13 +35,13 @@ variants()
 std::vector<exp::GridSpec>
 grids(const std::vector<std::string> &suite)
 {
-    return {{"main", variants(), suite, "no sb"}};
+    return {{"main", variants(), suite, "no sb", exp::Gate::On}};
 }
 
 void
 run(exp::Context &ctx)
 {
-    ctx.printGrid(ctx.grid("main"), "no sb");
+    ctx.printGrid("main");
 
     ctx.out() << "Reading: a small buffer captures most of the benefit "
                  "(the paper's point\nthat modest extra buffering goes a "
@@ -53,10 +53,6 @@ exp::Registrar reg({
     .id = "F2",
     .title = "single-port IPC vs store-buffer depth",
     .description = "Deepens the store buffer on a single-ported cache to recover store-bound IPC.",
-    .variants = variants,
-    .workloads = {},
-    .baseline = "no sb",
-    .gateExclude = {},
     .grids = grids,
     .run = run,
 });

@@ -29,13 +29,13 @@ variants()
 std::vector<exp::GridSpec>
 grids(const std::vector<std::string> &suite)
 {
-    return {{"main", variants(), suite, "no lb"}};
+    return {{"main", variants(), suite, "no lb", exp::Gate::On}};
 }
 
 void
 run(exp::Context &ctx)
 {
-    ctx.printGrid(ctx.grid("main"), "no lb");
+    ctx.printGrid("main");
 
     // Line-buffer hit rates for the largest file.
     TextTable table;
@@ -59,10 +59,6 @@ exp::Registrar reg({
     .id = "F3",
     .title = "single-port IPC vs number of line buffers",
     .description = "Varies line-buffer count for the load-all-ports technique on one cache port.",
-    .variants = variants,
-    .workloads = {},
-    .baseline = "no lb",
-    .gateExclude = {},
     .grids = grids,
     .run = run,
 });

@@ -30,13 +30,13 @@ variants()
 std::vector<exp::GridSpec>
 grids(const std::vector<std::string> &suite)
 {
-    return {{"main", variants(), suite, "8B"}};
+    return {{"main", variants(), suite, "8B", exp::Gate::On}};
 }
 
 void
 run(exp::Context &ctx)
 {
-    ctx.printGrid(ctx.grid("main"), "8B");
+    ctx.printGrid("main");
 
     // How the width changes technique effectiveness.
     TextTable table;
@@ -66,10 +66,6 @@ exp::Registrar reg({
     .id = "F4",
     .title = "single buffered port: IPC vs port width",
     .description = "Widens a single buffered port to carry multiple accesses per cycle.",
-    .variants = variants,
-    .workloads = {},
-    .baseline = "8B",
-    .gateExclude = {},
     .grids = grids,
     .run = run,
 });

@@ -47,14 +47,14 @@ variants()
 std::vector<exp::GridSpec>
 grids(const std::vector<std::string> &suite)
 {
-    return {{"main", variants(), suite, "2 ports"}};
+    return {{"main", variants(), suite, "2 ports", exp::Gate::On}};
 }
 
 void
 run(exp::Context &ctx)
 {
+    ctx.printGrid("main");
     const auto &grid = ctx.grid("main");
-    ctx.printGrid(grid, "2 ports");
 
     double headline =
         100.0 * grid.geomeanIpc("1p all") / grid.geomeanIpc("2 ports");
@@ -79,10 +79,6 @@ exp::Registrar reg({
     .id = "F5",
     .title = "single port + techniques vs dual-ported cache",
     .description = "Headline: one buffered port with all techniques against a true dual-ported cache.",
-    .variants = variants,
-    .workloads = {},
-    .baseline = "2 ports",
-    .gateExclude = {},
     .grids = grids,
     .run = run,
 });

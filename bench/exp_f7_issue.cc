@@ -47,20 +47,15 @@ variantsAt(unsigned width)
     };
 }
 
-/** Primary grid for the gate: the evaluation machine's own width. */
-std::vector<exp::Variant>
-variants()
-{
-    return variantsAt(4);
-}
-
+/** The gate replays the evaluation machine's own width. */
 std::vector<exp::GridSpec>
 grids(const std::vector<std::string> &suite)
 {
     std::vector<exp::GridSpec> out;
     for (unsigned width : {2u, 4u, 8u})
-        out.push_back(
-            {"width" + std::to_string(width), variantsAt(width), suite});
+        out.push_back({"width" + std::to_string(width), variantsAt(width),
+                       suite, "",
+                       width == 4 ? exp::Gate::On : exp::Gate::Off});
     return out;
 }
 
@@ -93,10 +88,6 @@ exp::Registrar reg({
     .id = "F7",
     .title = "port configurations vs issue width",
     .description = "Crosses port configurations with machine issue width to locate the port bottleneck.",
-    .variants = variants,
-    .workloads = {},
-    .baseline = "2 ports",
-    .gateExclude = {},
     .grids = grids,
     .run = run,
 });

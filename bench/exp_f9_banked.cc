@@ -33,13 +33,13 @@ variants()
 std::vector<exp::GridSpec>
 grids(const std::vector<std::string> &suite)
 {
-    return {{"main", variants(), suite, "2 ports"}};
+    return {{"main", variants(), suite, "2 ports", exp::Gate::On}};
 }
 
 void
 run(exp::Context &ctx)
 {
-    ctx.printGrid(ctx.grid("main"), "2 ports");
+    ctx.printGrid("main");
 
     // Bank-conflict rates for the banked points, on the most
     // port-hungry workload.
@@ -70,10 +70,6 @@ exp::Registrar reg({
     .id = "F9",
     .title = "banked pseudo-dual-port vs buffered single port",
     .description = "Pits a banked pseudo-dual-port cache against the buffered single port.",
-    .variants = variants,
-    .workloads = {},
-    .baseline = "2 ports",
-    .gateExclude = {},
     .grids = grids,
     .run = run,
 });

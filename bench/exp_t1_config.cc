@@ -11,14 +11,15 @@ namespace {
 
 using namespace cpe;
 
-std::vector<exp::Variant>
-variants()
+/** Gate only: the body describes the named variants, it runs none. */
+std::vector<exp::GridSpec>
+grids(const std::vector<std::string> &suite)
 {
-    return {
-        {"1p plain", core::PortTechConfig::singlePortBase()},
-        {"2 ports", core::PortTechConfig::dualPortBase()},
-        {"1p all", core::PortTechConfig::singlePortAllTechniques()},
-    };
+    return {{"main",
+             {{"1p plain", core::PortTechConfig::singlePortBase()},
+              {"2 ports", core::PortTechConfig::dualPortBase()},
+              {"1p all", core::PortTechConfig::singlePortAllTechniques()}},
+             suite, "", exp::Gate::Only}};
 }
 
 void
@@ -51,11 +52,7 @@ exp::Registrar reg({
     .id = "T1",
     .title = "machine configuration",
     .description = "Prints the simulated machine configuration used throughout the evaluation.",
-    .variants = variants,
-    .workloads = {},
-    .baseline = "",
-    .gateExclude = {},
-    .grids = {},
+    .grids = grids,
     .run = run,
 });
 

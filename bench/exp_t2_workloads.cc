@@ -13,10 +13,13 @@ namespace {
 
 using namespace cpe;
 
-std::vector<exp::Variant>
-variants()
+/** Gate only: the body characterizes the workloads, it runs none. */
+std::vector<exp::GridSpec>
+grids(const std::vector<std::string> &suite)
 {
-    return {{"default", sim::SimConfig::defaults().core.dcache.tech}};
+    return {{"main",
+             {{"default", sim::SimConfig::defaults().core.dcache.tech}},
+             suite, "", exp::Gate::Only}};
 }
 
 void
@@ -60,11 +63,7 @@ exp::Registrar reg({
     .id = "T2",
     .title = "workload characterization",
     .description = "Characterizes the workload suite: instruction mix, memory rates, branchiness.",
-    .variants = variants,
-    .workloads = {},
-    .baseline = "",
-    .gateExclude = {},
-    .grids = {},
+    .grids = grids,
     .run = run,
 });
 

@@ -12,16 +12,12 @@ namespace {
 
 using namespace cpe;
 
-std::vector<exp::Variant>
-variants()
-{
-    return {{"1p all", core::PortTechConfig::singlePortAllTechniques()}};
-}
-
 std::vector<exp::GridSpec>
 grids(const std::vector<std::string> &suite)
 {
-    return {{"main", variants(), suite}};
+    return {{"main",
+             {{"1p all", core::PortTechConfig::singlePortAllTechniques()}},
+             suite, "", exp::Gate::On}};
 }
 
 void
@@ -76,10 +72,6 @@ exp::Registrar reg({
     .id = "T3",
     .title = "port-traffic accounting (1p all-techniques)",
     .description = "Accounts L1D port traffic by source for the all-techniques single-port machine.",
-    .variants = variants,
-    .workloads = {},
-    .baseline = "",
-    .gateExclude = {},
     .grids = grids,
     .run = run,
 });

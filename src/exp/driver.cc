@@ -48,7 +48,7 @@ constexpr const char *kUsage =
     "  --run <ids|all>          run experiments (comma-separated ids,\n"
     "                           e.g. F1,F5,T3)\n"
     "  --check                  regression gate: re-run each\n"
-    "                           experiment's primary grid and compare\n"
+    "                           experiment's gated grid and compare\n"
     "                           geomean IPCs against --baseline\n"
     "  --write-baseline DIR     record baselines (reduced workload\n"
     "                           suite) into DIR\n"
@@ -397,6 +397,16 @@ validateWorkloads(const std::vector<std::string> &workloads)
                                     << "' in --workloads");
 }
 
+/** The rows of suite-driven grids: --workloads, else the evaluation
+ *  suite. */
+std::vector<std::string>
+suiteOf(const Options &options)
+{
+    return options.workloads.empty()
+               ? workload::WorkloadRegistry::evaluationSuite()
+               : options.workloads;
+}
+
 int
 listExperiments()
 {
@@ -405,16 +415,14 @@ listExperiments()
                      "baseline", "description"});
     for (const auto *experiment :
          ExperimentRegistry::instance().all()) {
-        auto variants = experiment->variants();
+        GridSpec gated = experiment->gatedGrid({});
         table.addRow({experiment->id, experiment->title,
-                      std::to_string(variants.size()),
-                      experiment->workloads.empty()
+                      std::to_string(gated.variants.size()),
+                      gated.workloads.empty()
                           ? "suite"
-                          : std::to_string(experiment->workloads.size())
+                          : std::to_string(gated.workloads.size())
                                 + " custom",
-                      experiment->baseline.empty()
-                          ? "-"
-                          : experiment->baseline,
+                      gated.baseline.empty() ? "-" : gated.baseline,
                       experiment->description.empty()
                           ? "-"
                           : experiment->description});
@@ -476,10 +484,7 @@ runExperiments(const Options &options)
     // Every grid of every selected experiment runs first, as one pool;
     // the bodies then only render.  F13 still times its own runs, alone,
     // as its body renders.
-    Schedule schedule(experiments,
-                      options.workloads.empty()
-                          ? workload::WorkloadRegistry::evaluationSuite()
-                          : options.workloads);
+    Schedule schedule(experiments, suiteOf(options));
 
     for (const auto *experiment : experiments) {
         // Each experiment starts from the old per-binary defaults so
@@ -532,17 +537,6 @@ runExperiments(const Options &options)
     return ExitOk;
 }
 
-/** The workload list an experiment's primary grid would use. */
-std::vector<std::string>
-primaryWorkloads(const Experiment &experiment, const Options &options)
-{
-    if (!options.workloads.empty())
-        return options.workloads;
-    if (!experiment.workloads.empty())
-        return experiment.workloads;
-    return workload::WorkloadRegistry::evaluationSuite();
-}
-
 int
 validateExperiments(const Options &options)
 {
@@ -554,17 +548,18 @@ validateExperiments(const Options &options)
                      "problem"});
     unsigned diagnostics = 0;
     unsigned configs_checked = 0;
+    const auto suite = suiteOf(options);
     for (const auto *experiment : experiments) {
-        auto configs = suiteConfigs(experiment->variants(),
-                                    primaryWorkloads(*experiment,
-                                                     options));
-        for (const auto &config : configs) {
-            ++configs_checked;
-            for (const auto &diagnostic : config.validate()) {
-                table.addRow({experiment->id, config.workloadName,
-                              config.tag(), diagnostic.field,
-                              diagnostic.message});
-                ++diagnostics;
+        for (const auto &spec : experiment->grids(suite)) {
+            for (const auto &config :
+                 suiteConfigs(spec.variants, spec.workloads)) {
+                ++configs_checked;
+                for (const auto &diagnostic : config.validate()) {
+                    table.addRow({experiment->id, config.workloadName,
+                                  config.tag(), diagnostic.field,
+                                  diagnostic.message});
+                    ++diagnostics;
+                }
             }
         }
     }
@@ -581,36 +576,31 @@ validateExperiments(const Options &options)
     return ExitOk;
 }
 
-/** The grid the regression gate replays: an experiment's primary
- * variants over an explicit workload list, minus any gate-excluded
- * columns (CI-bearing sampled estimates drift with sampling noise, so
- * a drift gate over them would only measure the sampler). */
-sim::ResultGrid
-runPrimaryGrid(const Experiment &experiment,
-               const std::vector<std::string> &workloads)
+/**
+ * Run the gated grids @p specs as one pool, minus their gate-excluded
+ * columns (CI-bearing sampled estimates drift with sampling noise, so a
+ * drift gate over them would only measure the sampler), and fold each
+ * into a grid.  Throws the first failed run's error.
+ */
+std::vector<sim::ResultGrid>
+runGate(std::vector<GridSpec> specs)
 {
-    VerboseScope quiet(false);
-    auto variants = experiment.variants();
-    if (!experiment.gateExclude.empty())
-        std::erase_if(variants, [&](const Variant &variant) {
-            return std::find(experiment.gateExclude.begin(),
-                             experiment.gateExclude.end(),
-                             variant.label) !=
-                   experiment.gateExclude.end();
+    for (auto &spec : specs)
+        std::erase_if(spec.variants, [&](const Variant &variant) {
+            return std::find(spec.gateExclude.begin(),
+                             spec.gateExclude.end(),
+                             variant.label) != spec.gateExclude.end();
         });
-    return sim::SweepRunner().runGrid(
-        suiteConfigs(variants, workloads));
-}
-
-std::vector<std::string>
-baselineWorkloads(const Experiment &experiment,
-                  const std::vector<std::string> &override_list)
-{
-    if (!override_list.empty())
-        return override_list;
-    if (!experiment.workloads.empty())
-        return experiment.workloads;
-    return reducedSuite();
+    std::vector<sim::ResultGrid> grids;
+    for (const GridRuns &runs : runGrids(specs)) {
+        sim::ResultGrid &grid = grids.emplace_back("IPC");
+        for (const auto &run : runs.runs) {
+            if (!run.outcome.ok())
+                std::rethrow_exception(run.outcome.exception);
+            grid.add(run.outcome.result);
+        }
+    }
+    return grids;
 }
 
 int
@@ -619,25 +609,83 @@ writeBaselines(const Options &options)
     auto experiments = selectExperiments(options.ids);
     validateWorkloads(options.workloads);
     std::filesystem::create_directories(options.baselineDir);
-    for (const auto *experiment : experiments) {
-        auto workloads =
-            baselineWorkloads(*experiment, options.workloads);
-        sim::ResultGrid grid = runPrimaryGrid(*experiment, workloads);
-        Json grid_json = grid.toJson();
+    const auto &rows =
+        options.workloads.empty() ? reducedSuite() : options.workloads;
+    std::vector<GridSpec> specs;
+    for (const auto *experiment : experiments)
+        specs.push_back(experiment->gatedGrid(rows));
+    auto grids = runGate(specs);
+    for (std::size_t i = 0; i < experiments.size(); ++i) {
+        Json grid_json = grids[i].toJson();
         Json doc = Json::object();
-        doc["experiment"] = experiment->id;
+        doc["experiment"] = experiments[i]->id;
         doc["schema"] = 1;
-        doc["title"] = experiment->title;
+        doc["title"] = experiments[i]->title;
         doc["workloads"] = grid_json.at("workloads");
         doc["configs"] = grid_json.at("configs");
         doc["geomean_ipc"] = grid_json.at("geomean_ipc");
         doc["ipc"] = grid_json.at("ipc");
         auto path = std::filesystem::path(options.baselineDir) /
-                    (experiment->id + ".json");
+                    (experiments[i]->id + ".json");
         writeFile(path, doc.dump(2) + "\n");
         std::cout << "wrote " << path.string() << "\n";
     }
     return 0;
+}
+
+/**
+ * Compare @p grid, @p spec's run, against @p id's @p baseline and
+ * append one row per config (experiment, config, baseline geomean,
+ * current geomean, drift%, status) to @p report.
+ * @return number of failing configs (drift beyond @p tolerance_pct,
+ * or config sets that do not match the baseline's).
+ */
+unsigned
+checkGrid(const std::string &id, const Json &baseline,
+          const GridSpec &spec, const sim::ResultGrid &grid,
+          double tolerance_pct,
+          std::vector<std::vector<std::string>> &report)
+{
+    unsigned failures = 0;
+    const auto &base_geomeans =
+        baseline.at("geomean_ipc", "baseline " + id);
+    for (const auto &[config, base_value] : base_geomeans.members()) {
+        const auto &configs = grid.configs();
+        bool present = std::find(configs.begin(), configs.end(),
+                                 config) != configs.end();
+        if (!present) {
+            report.push_back({id, config,
+                              TextTable::num(base_value.asNumber()),
+                              "-", "-", "MISSING"});
+            ++failures;
+            continue;
+        }
+        double base = base_value.asNumber();
+        double current = grid.geomeanIpc(config);
+        double drift_pct =
+            base != 0.0 ? 100.0 * (current - base) / base : 0.0;
+        bool ok = std::abs(drift_pct) <= tolerance_pct;
+        report.push_back(
+            {id, config, TextTable::num(base), TextTable::num(current),
+             TextTable::num(drift_pct, 2) + "%", ok ? "ok" : "FAIL"});
+        if (!ok)
+            ++failures;
+    }
+    // New columns the baseline has never seen are also drift: the
+    // gate's contract is "this grid, exactly".
+    for (const auto &config : grid.configs()) {
+        if (!base_geomeans.find(config)) {
+            report.push_back({id, config, "-",
+                              TextTable::num(grid.geomeanIpc(config)),
+                              "-", "NEW"});
+            ++failures;
+        }
+    }
+    // Gate-excluded columns are visible but never counted: the report
+    // says the gate chose to skip them rather than silently narrowing.
+    for (const auto &label : spec.gateExclude)
+        report.push_back({id, label, "-", "-", "-", "SKIP"});
+    return failures;
 }
 
 int
@@ -647,16 +695,32 @@ checkBaselines(const Options &options)
         usageError("--check needs --baseline DIR");
     auto experiments = selectExperiments(options.ids);
 
+    // Each gated grid runs over its baseline's rows.
+    std::vector<Json> baselines;
+    std::vector<GridSpec> specs;
+    for (const auto *experiment : experiments) {
+        const std::string &id = experiment->id;
+        const Json &baseline =
+            baselines.emplace_back(loadBaseline(options.baselineDir, id));
+        std::vector<std::string> rows;
+        for (const auto &workload :
+             baseline.at("workloads", "baseline " + id).items())
+            rows.push_back(workload.asString());
+        if (rows.empty())
+            throw ConfigError(Msg() << "baseline " << id
+                                    << " lists no workloads");
+        specs.push_back(experiment->gatedGrid(rows));
+    }
+    auto grids = runGate(specs);
+
     std::vector<std::vector<std::string>> report;
     unsigned failures = 0;
     unsigned configs_checked = 0;
-    for (const auto *experiment : experiments) {
-        Json baseline =
-            loadBaseline(options.baselineDir, experiment->id);
-        failures += checkExperiment(experiment->id, baseline,
-                                    options.tolerancePct, report);
+    for (std::size_t i = 0; i < experiments.size(); ++i) {
+        failures += checkGrid(experiments[i]->id, baselines[i], specs[i],
+                              grids[i], options.tolerancePct, report);
         configs_checked += static_cast<unsigned>(
-            baseline.at("geomean_ipc").members().size());
+            baselines[i].at("geomean_ipc").members().size());
     }
 
     TextTable table;
@@ -712,65 +776,6 @@ loadBaseline(const std::string &dir, const std::string &id)
                                 << " is for '" << doc_id << "', not '"
                                 << id << "'");
     return doc;
-}
-
-unsigned
-checkExperiment(const std::string &id, const Json &baseline,
-                double tolerance_pct,
-                std::vector<std::vector<std::string>> &report)
-{
-    const Experiment &experiment =
-        ExperimentRegistry::instance().get(id);
-    std::vector<std::string> workloads;
-    for (const auto &workload :
-         baseline.at("workloads", "baseline " + id).items())
-        workloads.push_back(workload.asString());
-    if (workloads.empty())
-        throw ConfigError(Msg() << "baseline " << id
-                                << " lists no workloads");
-
-    sim::ResultGrid grid = runPrimaryGrid(experiment, workloads);
-
-    unsigned failures = 0;
-    const auto &base_geomeans =
-        baseline.at("geomean_ipc", "baseline " + id);
-    for (const auto &[config, base_value] : base_geomeans.members()) {
-        const auto &configs = grid.configs();
-        bool present = std::find(configs.begin(), configs.end(),
-                                 config) != configs.end();
-        if (!present) {
-            report.push_back({id, config,
-                              TextTable::num(base_value.asNumber()),
-                              "-", "-", "MISSING"});
-            ++failures;
-            continue;
-        }
-        double base = base_value.asNumber();
-        double current = grid.geomeanIpc(config);
-        double drift_pct =
-            base != 0.0 ? 100.0 * (current - base) / base : 0.0;
-        bool ok = std::abs(drift_pct) <= tolerance_pct;
-        report.push_back(
-            {id, config, TextTable::num(base), TextTable::num(current),
-             TextTable::num(drift_pct, 2) + "%", ok ? "ok" : "FAIL"});
-        if (!ok)
-            ++failures;
-    }
-    // New columns the baseline has never seen are also drift: the
-    // gate's contract is "this grid, exactly".
-    for (const auto &config : grid.configs()) {
-        if (!base_geomeans.find(config)) {
-            report.push_back({id, config, "-",
-                              TextTable::num(grid.geomeanIpc(config)),
-                              "-", "NEW"});
-            ++failures;
-        }
-    }
-    // Gate-excluded columns are visible but never counted: the report
-    // says the gate chose to skip them rather than silently narrowing.
-    for (const auto &label : experiment.gateExclude)
-        report.push_back({id, label, "-", "-", "-", "SKIP"});
-    return failures;
 }
 
 namespace {

@@ -32,17 +32,6 @@ const std::vector<std::string> &reducedSuite();
  */
 Json loadBaseline(const std::string &dir, const std::string &id);
 
-/**
- * Re-run @p id's primary variant grid at the baseline's recorded
- * workloads and append one row per config (experiment, config,
- * baseline geomean, current geomean, drift%, status) to @p report.
- * @return number of failing configs (drift beyond @p tolerance_pct,
- * or config sets that do not match the baseline's).
- */
-unsigned checkExperiment(const std::string &id, const Json &baseline,
-                         double tolerance_pct,
-                         std::vector<std::vector<std::string>> &report);
-
 /** Full command-line entry point of the cpe_eval binary. */
 int evalMain(int argc, char **argv);
 

@@ -1,5 +1,6 @@
 #include "exp/experiment.hh"
 
+#include <algorithm>
 #include <ostream>
 
 #include "obs/profiler.hh"
@@ -175,12 +176,18 @@ suiteConfigs(const std::vector<Variant> &variants,
     return configs;
 }
 
-namespace {
+GridSpec
+Experiment::gatedGrid(const std::vector<std::string> &suite) const
+{
+    auto specs = grids(suite);
+    auto gated = [](const GridSpec &spec) { return spec.gate != Gate::Off; };
+    auto it = std::find_if(specs.begin(), specs.end(), gated);
+    if (it == specs.end() ||
+        std::find_if(std::next(it), specs.end(), gated) != specs.end())
+        panic(Msg() << id << " must gate exactly one of its grids");
+    return std::move(*it);
+}
 
-/**
- * Run @p grids, in the order given, as one SweepRunner pool, with
- * every process-wide hook applied to their configs (suiteConfigs).
- */
 std::vector<GridRuns>
 runGrids(const std::vector<GridSpec> &grids)
 {
@@ -203,17 +210,15 @@ runGrids(const std::vector<GridSpec> &grids)
     return out;
 }
 
-} // namespace
-
 Schedule::Schedule(const std::vector<const Experiment *> &experiments,
                    const std::vector<std::string> &suite)
 {
     std::vector<std::pair<std::string, std::string>> keys;
     std::vector<GridSpec> specs;
     for (const auto *experiment : experiments) {
-        if (!experiment->grids)
-            continue;
         for (auto &spec : experiment->grids(suite)) {
+            if (spec.gate == Gate::Only)
+                continue;
             keys.emplace_back(experiment->id, spec.key);
             specs.push_back(std::move(spec));
         }
@@ -248,12 +253,10 @@ Context::Context(const Experiment &experiment, std::ostream &out,
     doc_["headlines"] = Json::object();
 }
 
-const sim::ResultGrid &
-Context::grid(const std::string &key)
+const GridSpec &
+Context::spec(const std::string &key)
 {
-    if (auto it = fetched_.find(key); it != fetched_.end())
-        return it->second.grid;
-    if (specs_.empty() && experiment_.grids)
+    if (specs_.empty())
         specs_ = experiment_.grids(suite_);
     auto spec = std::find_if(specs_.begin(), specs_.end(),
                              [&](const GridSpec &candidate) {
@@ -262,11 +265,20 @@ Context::grid(const std::string &key)
     if (spec == specs_.end())
         panic(Msg() << experiment_.id << " fetched grid '" << key
                     << "', which it does not declare");
+    return *spec;
+}
+
+const sim::ResultGrid &
+Context::grid(const std::string &key)
+{
+    if (auto it = fetched_.find(key); it != fetched_.end())
+        return it->second.grid;
+    const GridSpec &declared = spec(key);
     const GridRuns *runs =
         schedule_ ? schedule_->find(experiment_.id, key) : nullptr;
     if (!runs) {
         ownRuns_.push_back(
-            std::make_unique<GridRuns>(std::move(runGrids({*spec})[0])));
+            std::make_unique<GridRuns>(std::move(runGrids({declared})[0])));
         runs = ownRuns_.back().get();
     }
 
@@ -293,7 +305,7 @@ Context::grid(const std::string &key)
 
     Json grid_json;
     try {
-        grid_json = grid.toJson(spec->baseline);
+        grid_json = grid.toJson(declared.baseline);
     } catch (const SimError &) {
         if (!keepGoing_)
             throw;
@@ -350,9 +362,10 @@ Context::printProfiles(const sim::ResultGrid &grid)
 }
 
 void
-Context::printGrid(const sim::ResultGrid &grid,
-                   const std::string &baseline)
+Context::printGrid(const std::string &key)
 {
+    const sim::ResultGrid &grid = this->grid(key);
+    const std::string &baseline = spec(key).baseline;
     out_ << "Instructions per cycle:\n"
          << grid.ipcTable().render() << "\n";
     try {
@@ -364,6 +377,12 @@ Context::printGrid(const sim::ResultGrid &grid,
         out_ << "Performance relative to '" << baseline
              << "': unavailable (" << error.what() << ")\n\n";
     }
+}
+
+TextTable
+Context::relativeTable(const std::string &key)
+{
+    return grid(key).relativeTable(spec(key).baseline);
 }
 
 void

@@ -4,14 +4,14 @@
  * evaluation's tables and figures (T1–T3, F1–F13), replacing the old
  * one-binary-per-experiment harness.
  *
- * An Experiment names its primary variant grid (what the regression
- * gate re-runs and the tests validate), declares every grid its body
- * renders, and has a run() body that renders the experiment exactly as
- * the former bench binaries did, while recording every grid and
- * headline ratio into a stable-keyed JSON document through the
- * Context.  Bodies fetch their grids; they do not run them.  cpe_eval
- * runs the grids of every selected experiment as one pool (Schedule)
- * before the first body renders.
+ * An Experiment declares every grid it runs, one of them gated (what
+ * the regression gate re-runs against the committed baselines), and
+ * has a run() body that renders the experiment exactly as the former
+ * bench binaries did, while recording every grid and headline ratio
+ * into a stable-keyed JSON document through the Context.  Bodies fetch
+ * their grids; they do not run them.  cpe_eval runs the grids of every
+ * selected experiment as one pool (Schedule) before the first body
+ * renders.
  */
 
 #ifndef CPE_EXP_EXPERIMENT_HH
@@ -108,7 +108,15 @@ void setSampling(const sim::SampleParams &params);
 
 class Context;
 
-/** One grid an experiment renders: labelled variants over workloads. */
+/** Whether the regression gate replays a grid, and whether --run runs it. */
+enum class Gate
+{
+    Off,  ///< --run runs it; the gate does not
+    On,   ///< --run runs it and the gate replays it
+    Only, ///< the gate replays it; no body fetches it, so --run does not
+};
+
+/** One grid an experiment declares: labelled variants over workloads. */
 struct GridSpec
 {
     /** Where the grid lands in the JSON document: grids.<key>. */
@@ -116,8 +124,20 @@ struct GridSpec
     std::vector<Variant> variants;
     /** The grid's rows, in order (usually the suite). */
     std::vector<std::string> workloads;
-    /** Column the recorded relative geomeans divide by ("" = none). */
+    /** Column the relative views and recorded relative geomeans divide
+     *  by ("" = none). */
     std::string baseline = "";
+    /** Whether the gate replays this grid; each experiment gates
+     *  exactly one. */
+    Gate gate = Gate::Off;
+    /**
+     * Labels of the gated grid that the gate leaves out: columns whose
+     * metric is a statistical estimate with its own confidence
+     * interval (F13's sampled runs), where a scalar geomean-drift gate
+     * is the wrong contract.  --write-baseline and --check drop these
+     * columns and report them as SKIP.
+     */
+    std::vector<std::string> gateExclude = {};
 };
 
 /** One registered experiment of the reconstructed evaluation. */
@@ -132,32 +152,11 @@ struct Experiment
      *  the paper's tables/figures it reconstructs (--list prints it). */
     std::string description;
     /**
-     * Builds the primary variant grid: the columns the regression
-     * gate re-runs against the committed baselines, and what
-     * --list/tests introspect.  Must return a non-empty vector with
-     * unique labels.
-     */
-    std::function<std::vector<Variant>()> variants;
-    /**
-     * Workloads of the primary grid; empty means the evaluation
-     * suite (or the driver's --workloads override).
-     */
-    std::vector<std::string> workloads;
-    /** Baseline column of the primary grid ("" = no relative view). */
-    std::string baseline;
-    /**
-     * Primary-grid variant labels the regression gate leaves out:
-     * columns whose metric is a statistical estimate with its own
-     * confidence interval (F13's sampled runs), where a scalar
-     * geomean-drift gate is the wrong contract.  --write-baseline and
-     * --check drop these columns and report them as SKIP.
-     */
-    std::vector<std::string> gateExclude;
-    /**
-     * Every grid the body fetches, for the given suite, in the order
-     * it fetches them: the order a one-at-a-time sweep would run them,
-     * which the replay accounting follows.  Unset means the body
-     * fetches no grid (T1, T2, and F13, which times its own runs).
+     * Every grid the experiment declares, for the given suite.  The
+     * grids the body fetches come in the order it fetches them: the
+     * order a one-at-a-time sweep would run them, which the replay
+     * accounting follows.  Exactly one grid is gated.  A grid with
+     * fixed rows (F12's, F13's) ignores the suite.
      */
     std::function<std::vector<GridSpec>(
         const std::vector<std::string> &suite)>
@@ -168,6 +167,19 @@ struct Experiment
      * and notes the standalone binary printed.
      */
     std::function<void(Context &)> run;
+
+    /**
+     * The gated grid's fixed rows; empty when they are the suite.
+     * ExperimentRegistry::add derives it from grids({}); no
+     * registration sets it.
+     */
+    std::vector<std::string> workloads = {};
+
+    /** The gated grid for @p suite (panics unless exactly one). */
+    GridSpec gatedGrid(const std::vector<std::string> &suite) const;
+
+    /** The gated grid's columns. */
+    std::vector<Variant> variants() const { return gatedGrid({}).variants; }
 };
 
 /** The runs of one declared grid, as Context::grid() fetches them. */
@@ -180,6 +192,12 @@ struct GridRuns
 };
 
 /**
+ * Run @p grids, in the order given, as one SweepRunner pool, with
+ * every process-wide hook applied to their configs (suiteConfigs).
+ */
+std::vector<GridRuns> runGrids(const std::vector<GridSpec> &grids);
+
+/**
  * The grids of several experiments, run as one pool before any of
  * them renders: what cpe_eval --run hands each Context.  The pool's
  * order is experiment (as given) -> grid (as declared) -> config.
@@ -187,7 +205,8 @@ struct GridRuns
 class Schedule
 {
   public:
-    /** Run every grid @p experiments declare for @p suite. */
+    /** Run every grid @p experiments declare for @p suite, except the
+     *  gate-only ones (Gate::Only). */
     Schedule(const std::vector<const Experiment *> &experiments,
              const std::vector<std::string> &suite);
 
@@ -246,9 +265,12 @@ class Context
      */
     sim::SimResult machineResult(const sim::SimConfig &machine);
 
-    /** Print absolute IPCs and the relative-to-baseline view. */
-    void printGrid(const sim::ResultGrid &grid,
-                   const std::string &baseline);
+    /** Fetch grid @p key; print its absolute IPCs and its view
+     *  relative to its declared baseline. */
+    void printGrid(const std::string &key);
+
+    /** Fetch grid @p key; its view relative to its declared baseline. */
+    TextTable relativeTable(const std::string &key);
 
     /**
      * Print each run's stall-attribution table (cpe_eval --profile);
@@ -291,6 +313,9 @@ class Context
     }
 
   private:
+    /** The declared grid @p key; panics when there is none. */
+    const GridSpec &spec(const std::string &key);
+
     /** A fetched grid: its runs and the results they rendered. */
     struct Fetched
     {

@@ -69,13 +69,16 @@ ExperimentRegistry::instance()
 void
 ExperimentRegistry::add(Experiment experiment)
 {
-    if (experiment.id.empty() || !experiment.variants || !experiment.run)
+    if (experiment.id.empty() || !experiment.grids || !experiment.run)
         panic(Msg() << "ExperimentRegistry: experiment '" << experiment.id
-                    << "' must have an id, a variant builder, and a run "
+                    << "' must have an id, declared grids, and a run "
                        "body");
     if (has(experiment.id))
         panic(Msg() << "ExperimentRegistry: duplicate experiment id '"
                     << experiment.id << "'");
+    // At an empty suite a suite-driven grid has no rows: empty means
+    // the suite.
+    experiment.workloads = experiment.gatedGrid({}).workloads;
     experiments_.push_back(std::move(experiment));
 }
 

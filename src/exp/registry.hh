@@ -26,7 +26,8 @@ class ExperimentRegistry
   public:
     static ExperimentRegistry &instance();
 
-    /** Register an experiment; duplicate ids are a bug (panics). */
+    /** Register an experiment and derive its workloads from its gated
+     *  grid; duplicate ids and ungated experiments are bugs (panics). */
     void add(Experiment experiment);
 
     bool has(const std::string &id) const;

@@ -1,8 +1,9 @@
 /**
  * @file
- * Experiment-registry tests: every registered experiment exposes a
- * well-formed primary grid (what the regression gate replays), and a
- * reduced-scale F5 run reproduces a sane headline ratio end to end.
+ * Experiment-registry tests: every registered experiment declares
+ * well-formed grids, exactly one of them gated (what the regression
+ * gate replays), and a reduced-scale F5 run reproduces a sane headline
+ * ratio end to end.
  */
 
 #include <set>
@@ -46,6 +47,15 @@ TEST(ExperimentRegistryErrors, UnknownIdThrowsConfigError)
                          ConfigError, "F5");
 }
 
+std::vector<std::string>
+labelsOf(const std::vector<Variant> &variants)
+{
+    std::vector<std::string> labels;
+    for (const auto &variant : variants)
+        labels.push_back(variant.label);
+    return labels;
+}
+
 TEST(ExperimentRegistry, EveryExperimentHasAWellFormedPrimaryGrid)
 {
     auto &workloads = workload::WorkloadRegistry::instance();
@@ -55,32 +65,71 @@ TEST(ExperimentRegistry, EveryExperimentHasAWellFormedPrimaryGrid)
         SCOPED_TRACE(experiment->id);
         EXPECT_TRUE(seen_ids.insert(experiment->id).second);
         EXPECT_FALSE(experiment->title.empty());
-        ASSERT_TRUE(experiment->variants);
+        ASSERT_TRUE(experiment->grids);
         ASSERT_TRUE(experiment->run);
 
-        auto variants = experiment->variants();
-        ASSERT_FALSE(variants.empty());
-        std::set<std::string> labels;
-        for (const auto &variant : variants) {
-            EXPECT_FALSE(variant.label.empty());
-            EXPECT_TRUE(labels.insert(variant.label).second)
-                << "duplicate variant label " << variant.label;
+        std::set<std::string> keys;
+        std::vector<const GridSpec *> gated;
+        const auto specs = experiment->grids(reducedSuite());
+        for (const GridSpec &spec : specs) {
+            SCOPED_TRACE(spec.key);
+            EXPECT_TRUE(keys.insert(spec.key).second) << "duplicate key";
+            ASSERT_FALSE(spec.variants.empty());
+            const auto labels = labelsOf(spec.variants);
+            const std::set<std::string> unique(labels.begin(),
+                                               labels.end());
+            EXPECT_EQ(unique.size(), labels.size()) << "duplicate label";
+            EXPECT_FALSE(unique.count("")) << "empty label";
+            // The baseline and the excluded columns are grid columns.
+            if (!spec.baseline.empty()) {
+                EXPECT_TRUE(unique.count(spec.baseline))
+                    << "baseline '" << spec.baseline
+                    << "' is not a variant label";
+            }
+            for (const auto &label : spec.gateExclude) {
+                EXPECT_TRUE(unique.count(label))
+                    << "gate-excluded '" << label
+                    << "' is not a variant label";
+            }
+            for (const auto &name : spec.workloads) {
+                EXPECT_TRUE(workloads.has(name))
+                    << "unknown workload " << name;
+            }
+            EXPECT_EQ(suiteConfigs(spec.variants, spec.workloads).size(),
+                      spec.variants.size() * spec.workloads.size());
+            if (spec.gate == Gate::Off) {
+                EXPECT_TRUE(spec.gateExclude.empty())
+                    << "gateExclude on an ungated grid";
+            } else {
+                gated.push_back(&spec);
+            }
         }
-        // The baseline, when named, must be one of the grid's columns.
-        if (!experiment->baseline.empty())
-            EXPECT_TRUE(labels.count(experiment->baseline))
-                << "baseline '" << experiment->baseline
-                << "' is not a variant label";
-        for (const auto &name : experiment->workloads)
-            EXPECT_TRUE(workloads.has(name))
-                << "unknown workload " << name;
+        ASSERT_EQ(gated.size(), 1u) << "gated grids";
 
-        // The grid expands into runnable configs for the gate.
-        auto configs =
-            suiteConfigs(variants, reducedSuite());
-        EXPECT_EQ(configs.size(),
-                  variants.size() * reducedSuite().size());
+        // What perfbench reads is the gated grid's: its columns, and
+        // its rows when they are fixed (empty when they are the suite).
+        EXPECT_EQ(labelsOf(experiment->variants()),
+                  labelsOf(gated[0]->variants));
+        EXPECT_EQ(experiment->workloads.empty() ? reducedSuite()
+                                                : experiment->workloads,
+                  gated[0]->workloads);
     }
+
+    auto &registry = ExperimentRegistry::instance();
+    EXPECT_EQ(labelsOf(registry.get("F5").variants()),
+              (std::vector<std::string>{"1p plain", "1p+sb", "1p+lb",
+                                        "1p+wide", "1p all", "2 ports",
+                                        "2p+sb"}));
+    EXPECT_TRUE(registry.get("F5").workloads.empty());
+    EXPECT_EQ(labelsOf(registry.get("F13").variants()),
+              (std::vector<std::string>{"full", "sampled"}));
+    EXPECT_EQ(registry.get("F13").workloads,
+              (std::vector<std::string>{"compress", "stencil", "copy"}));
+    EXPECT_EQ(registry.get("F13").gatedGrid({}).gateExclude,
+              std::vector<std::string>{"sampled"});
+    EXPECT_EQ(registry.get("F12").workloads,
+              (std::vector<std::string>{"compress", "hashjoin", "spmv",
+                                        "bsearch", "stencil", "copy"}));
 }
 
 TEST(ExperimentRegistry, ReducedSuiteIsRunnable)

@@ -639,12 +639,14 @@ TEST(EvalMemo, CombinedRunMatchesSeparateRunsAndSimulatesEachMachineOnce)
 {
     VerboseScope quiet(false);
     ScratchDir scratch("cpe_eval_memo");
-    const std::vector<std::string> ids = {"F1", "F5", "F7"};
+    // T1 declares only a gate-only grid, which never enters the pool:
+    // it requests no run.
+    const std::vector<std::string> ids = {"T1", "F1", "F5", "F7"};
 
     // One invocation, every experiment, through an entry directory:
     // the directory ends up with exactly one file per distinct key.
     auto [rc, err] = evalCapturing(
-        {"--run", "F1,F5,F7", "--workloads", "copy", "--out",
+        {"--run", "T1,F1,F5,F7", "--workloads", "copy", "--out",
          (scratch.dir / "combined").string(), "--store",
          (scratch.dir / "store").string()});
     ASSERT_EQ(rc, 0) << err;

@@ -4,7 +4,9 @@
  * every selected experiment runs in one pool before the bodies render,
  * and nothing that prints moves.  A golden written by the driver that
  * ran experiments one at a time pins the derived columns, and F3's,
- * F10's and F11's rate columns print what their runs record; contexts
+ * F4's, F10's and F11's columns print what their runs record; the
+ * gated grids, pooled the same way, write the committed baselines;
+ * contexts
  * without a schedule (one grid at a time, as perfbench's traced pass
  * runs them) render what evalMain renders; four workers render what
  * one does; and evalMain hands every process-wide hook back as it
@@ -15,9 +17,11 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <regex>
 #include <sstream>
@@ -194,12 +198,12 @@ tableRows(const std::string &stdout_text, const std::string &caption)
     return rows;
 }
 
-/** 100 x @p field of the one run of (@p workload, @p config) in
- *  @p grid of @p doc, printed as the tables print a percentage. */
-std::string
-runPercent(const Json &doc, const std::string &grid,
-           const std::string &workload, const std::string &config,
-           const std::string &field)
+/** @p field of the one run of (@p workload, @p config) in @p grid of
+ *  @p doc. */
+double
+runField(const Json &doc, const std::string &grid,
+         const std::string &workload, const std::string &config,
+         const std::string &field)
 {
     std::vector<double> values;
     for (const Json &entry : doc.at("grids").at(grid).at("runs").items())
@@ -208,8 +212,18 @@ runPercent(const Json &doc, const std::string &grid,
             values.push_back(entry.at(field).asNumber());
     EXPECT_EQ(values.size(), 1u) << grid << ": " << workload << " / "
                                  << config;
-    return values.empty() ? "<no run>"
-                          : TextTable::num(100.0 * values[0], 1) + "%";
+    return values.empty() ? std::nan("") : values[0];
+}
+
+/** 100 x runField(), printed as the tables print a percentage. */
+std::string
+runPercent(const Json &doc, const std::string &grid,
+           const std::string &workload, const std::string &config,
+           const std::string &field)
+{
+    return TextTable::num(
+               100.0 * runField(doc, grid, workload, config, field), 1) +
+           "%";
 }
 
 TEST(Schedule, F10MissColumnIsTheMeanOfItsGridRuns)
@@ -261,6 +275,54 @@ TEST(Schedule, F3AndF11RateColumnsAreTheirGridRuns)
                                       "cond_accuracy"));
         EXPECT_EQ(accuracy[workload], want);
     }
+}
+
+TEST(Schedule, F4WidthTableIsItsGridRuns)
+{
+    // Each row of the width table is copy's run in that width's column
+    // of the main grid.
+    ScratchDir scratch("cpe_schedule_f4");
+    auto run = eval({"--run", "F4", "--workloads", "copy", "--jobs", "1",
+                     "--out", scratch.dir.string()});
+    ASSERT_EQ(run.rc, 0) << run.err;
+    Json doc = Json::parse(readFile(scratch.dir / "F4.json"), "F4.json");
+
+    auto rows = tableRows(run.out,
+                          "Technique activity vs width (suite member "
+                          "'copy'):");
+    for (const std::string width : {"8B", "16B", "32B"}) {
+        SCOPED_TRACE(width);
+        EXPECT_EQ(rows[width],
+                  (std::vector<std::string>{
+                      runPercent(doc, "main", "copy", width,
+                                 "line_buffer_hit_rate"),
+                      TextTable::num(runField(doc, "main", "copy", width,
+                                              "sb_stores_per_drain"),
+                                     2),
+                      runPercent(doc, "main", "copy", width,
+                                 "load_port_fraction")}));
+    }
+}
+
+TEST(Schedule, WriteBaselineRecordsTheCommittedBaselines)
+{
+    // One pool over a gate-only grid (T1), a gated grid declared after
+    // another (F7), fixed rows (F12) and an excluded column (F13).
+    ScratchDir scratch("cpe_schedule_write_baseline");
+    auto run = eval({"--write-baseline", scratch.dir.string(), "--run",
+                     "T1,F7,F12,F13", "--jobs", "4"});
+    ASSERT_EQ(run.rc, 0) << run.err;
+    const std::vector<std::string> ids = {"T1", "F7", "F12", "F13"};
+    for (const auto &id : ids) {
+        SCOPED_TRACE(id);
+        const std::string committed = readFile(
+            std::filesystem::path(CPE_BASELINE_DIR) / (id + ".json"));
+        ASSERT_FALSE(committed.empty());
+        EXPECT_EQ(readFile(scratch.dir / (id + ".json")), committed);
+    }
+    EXPECT_EQ(std::distance(std::filesystem::directory_iterator(scratch.dir),
+                            std::filesystem::directory_iterator()),
+              static_cast<std::ptrdiff_t>(ids.size()));
 }
 
 TEST(Schedule, PlanlessContextsRenderWhatEvalMainRenders)
